@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 
 from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
-from .oracle import AgreementReport, OracleConfig, OracleResult, min_on_sphere, verify_verdict
+from .oracle import (AgreementReport, NonFiniteValue, OracleConfig, OracleResult,
+                     min_on_sphere, verify_verdict)
 from .tensors import ParseError, TensorError, format_scalar, load_tensor
-from .ternary import NotInClass, SignClassTensor, classify_ternary, validate_class
+from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary, validate_class
 from .verdicts import Classification, ClassVerdict, Verdict
 
 
@@ -127,19 +127,22 @@ def _run_classify(args) -> int:
               f"mode {args.mode}", file=sys.stderr)
         return 1
 
-    analytic, notice = _classify_tensor(tensor, args.mode)
-    if notice:
-        print(f"notice: {notice}", file=sys.stderr)
     cfg = _oracle_config(args)
-
     numeric = None
     agreement = "n/a"
-    if analytic is None:
-        numeric = min_on_sphere(tensor, cfg)
-    elif not args.no_oracle:
-        check: AgreementReport = verify_verdict(tensor, analytic, cfg)
-        numeric = check.numeric
-        agreement = check.agreement
+    try:
+        analytic, notice = _classify_tensor(tensor, args.mode)
+        if notice:
+            print(f"notice: {notice}", file=sys.stderr)
+        if analytic is None:
+            numeric = min_on_sphere(tensor, cfg)
+        elif not args.no_oracle:
+            check: AgreementReport = verify_verdict(tensor, analytic, cfg)
+            numeric = check.numeric
+            agreement = check.agreement
+    except NonFiniteValue as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 1
 
     report = {
         "input": str(args.input),
@@ -153,15 +156,12 @@ def _run_classify(args) -> int:
     return 2 if agreement == "conflict" else 0
 
 
-_SWEEP_LEVELS = (Fraction(11, 6), Fraction(2), Fraction(5, 2), Fraction(8, 3))
-
-
 def _run_sweep(args) -> int:
     cfg = _oracle_config(args)
     rows = []
     conflicts = 0
     counts: dict[str, int] = {}
-    for b in _SWEEP_LEVELS:
+    for b in STUDIED_LEVELS:
         for s in product((1, -1), repeat=3):
             for c in product((1, -1), repeat=3):
                 tensor = SignClassTensor(*s, *c, b).to_quartic()

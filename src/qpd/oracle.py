@@ -6,22 +6,31 @@ means PD, min = 0 at a nonzero point means PSD on the boundary, min < 0
 refutes PSD.  The method is a dense angular seed grid (a hemisphere, since
 the form is even) followed by multi-start projected gradient descent with
 backtracking, all in float64 via numpy.
+
+The seed grid and its monomial matrix depend only on the dimension and the
+grid resolution, so they are built once per ``(dim, grid_resolution)`` and
+cached (read-only); the seed values of a tensor are then one matrix-vector
+product with its coefficient vector.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .tensors import Quartic, Scalar, Vector, evaluate
+from .tensors import Quartic, Scalar, Vector, evaluate, multi_indices
 from .verdicts import Classification
 
 
 class NonFiniteValue(Exception):
-    """Seed evaluation overflowed to inf/nan."""
+    """Coefficients or seed values overflowed float64 to inf/nan."""
+
+
+_OVERFLOW = "tensor coefficients overflow float64 evaluation"
 
 
 class NumericVerdict(enum.Enum):
@@ -54,29 +63,51 @@ class OracleResult:
     confirmed_exact: Optional[Fraction] = None
 
 
+def _exponents(dim: int) -> np.ndarray:
+    """Exponent matrix E[m, j] = power of x_j in the m-th monomial, in the
+    order of ``multi_indices(dim)`` (the order ``T.terms()`` yields)."""
+    return np.asarray([[midx.count(j + 1) for j in range(dim)] for midx in multi_indices(dim)])
+
+
 def _float_terms(T: Quartic):
     """Weighted coefficient vector and exponent matrix for vectorized
     evaluation: f(x) = sum_m C[m] * prod_j x_j ** E[m, j]."""
-    coeffs, expos = [], []
-    for midx, w, c in T.terms():
-        coeffs.append(w * float(c))
-        expos.append([midx.count(j + 1) for j in range(T.dim)])
-    return np.asarray(coeffs), np.asarray(expos)
+    try:
+        C = np.asarray([w * float(c) for _, w, c in T.terms()])
+    except OverflowError:  # float(Fraction) beyond the float64 range
+        raise NonFiniteValue(_OVERFLOW) from None
+    if not np.all(np.isfinite(C)):
+        raise NonFiniteValue(_OVERFLOW)
+    return C, _exponents(T.dim)
+
+
+def _monomials(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """M[i, m] = prod_j X[i, j] ** E[m, j]."""
+    return np.prod(X[:, None, :] ** E[None, :, :], axis=2)
 
 
 def _eval_batch(X: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
     # Overflow to inf/nan is tolerated here; callers reject non-finite values.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ C
+        return _monomials(X, E) @ C
 
 
-def _grad_batch(X: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _grad_tables(C: np.ndarray, E: np.ndarray):
+    """Per-coordinate exponent table Ek[k] (E with column k lowered by one,
+    floored at 0) and weights W[k] = C * E[:, k], so that
+    df/dx_k = prod_j x_j ** Ek[k, m, j] @ W[k]."""
+    dim = E.shape[1]
+    Ek = np.repeat(E[None], dim, axis=0)
+    for k in range(dim):
+        Ek[k, :, k] = np.maximum(Ek[k, :, k] - 1, 0)
+    return Ek, E.T * C
+
+
+def _grad_batch(X: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
+    mono = np.prod(X[None, :, None, :] ** Ek[:, None, :, :], axis=3)
     G = np.empty_like(X)
-    for k in range(X.shape[1]):
-        Ek = E.copy()
-        Ek[:, k] = np.maximum(Ek[:, k] - 1, 0)
-        mono = np.prod(X[:, None, :] ** Ek[None, :, :], axis=2)
-        G[:, k] = mono @ (C * E[:, k])
+    for k in range(len(W)):
+        G[:, k] = mono[k] @ W[k]
     return G
 
 
@@ -95,6 +126,17 @@ def _seed_grid(dim: int, n: int) -> np.ndarray:
     return np.concatenate([pts, poles])
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_table(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed grid and its monomial matrix for every tensor of dimension dim,
+    both read-only."""
+    seeds = _seed_grid(dim, n)
+    M = _monomials(seeds, _exponents(dim))
+    seeds.flags.writeable = False
+    M.flags.writeable = False
+    return seeds, M
+
+
 def _refine(X, C, E, iters, tol):
     """Batch projected gradient descent with backtracking line search.
 
@@ -102,9 +144,10 @@ def _refine(X, C, E, iters, tol):
     tangential gradient norm drops below tol.
     """
     f = _eval_batch(X, C, E)
+    Ek, W = _grad_tables(C, E)
     step = np.full(len(X), 0.1)
     for _ in range(iters):
-        G = _grad_batch(X, C, E)
+        G = _grad_batch(X, Ek, W)
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gnorm = np.linalg.norm(Gt, axis=1)
         active = gnorm > tol
@@ -129,10 +172,11 @@ def _refine(X, C, E, iters, tol):
 def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """Approximate global minimum of the form on the unit sphere."""
     C, E = _float_terms(T)
-    seeds = _seed_grid(T.dim, cfg.grid_resolution)
-    values = _eval_batch(seeds, C, E)
+    seeds, M = _seed_table(T.dim, cfg.grid_resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = M @ C
     if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("tensor coefficients overflow float64 evaluation")
+        raise NonFiniteValue(_OVERFLOW)
     order = np.argsort(values, kind="stable")[: cfg.starts]
     X, f = _refine(seeds[order], C, E, cfg.refine_iters, cfg.refine_tol)
     best = int(np.argmin(f))
@@ -204,7 +248,6 @@ class AgreementReport:
     analytic_class: Classification
     numeric: OracleResult
     agreement: str  # agree | conflict | inconclusive | n/a
-    exact_at_argmin: Optional[Fraction] = None
 
 
 def verify_verdict(T: Quartic, analytic, cfg: OracleConfig = OracleConfig()) -> AgreementReport:
@@ -216,14 +259,13 @@ def verify_verdict(T: Quartic, analytic, cfg: OracleConfig = OracleConfig()) -> 
     """
     cls = analytic if isinstance(analytic, Classification) else analytic.classification
     result = min_on_sphere(T, cfg)
-    exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
     expected = _EXPECTED.get(cls)
     if expected is None:
-        return AgreementReport(cls, result, "n/a", exact)
+        return AgreementReport(cls, result, "n/a")
     if result.verdict is expected:
         agreement = "agree"
     elif abs(result.min_value) <= 10 * cfg.verdict_tol:
         agreement = "inconclusive"
     else:
         agreement = "conflict"
-    return AgreementReport(cls, result, agreement, exact)
+    return AgreementReport(cls, result, agreement)

@@ -234,7 +234,7 @@ def proof_witness(S: SignClassTensor) -> Optional[Vector]:
     return None
 
 
-_STUDIED_LEVELS = (Fraction(11, 6), Fraction(2), Fraction(5, 2), Fraction(8, 3))
+STUDIED_LEVELS = (Fraction(11, 6), Fraction(2), Fraction(5, 2), Fraction(8, 3))
 
 
 def _class_at_level(S: SignClassTensor, level: Fraction) -> Classification:
@@ -279,8 +279,8 @@ def _monotone_bound(S: SignClassTensor):
     from the smallest studied level >= b, PSD/PD propagate up from the largest
     studied level <= b."""
     b = S.b
-    below = [lv for lv in _STUDIED_LEVELS if lv <= b]
-    above = [lv for lv in _STUDIED_LEVELS if lv >= b]
+    below = [lv for lv in STUDIED_LEVELS if lv <= b]
+    above = [lv for lv in STUDIED_LEVELS if lv >= b]
     if above:
         upper = min(above)
         if _class_at_level(S, upper) is Classification.NOT_PSD:

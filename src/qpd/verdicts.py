@@ -15,14 +15,6 @@ class Classification(enum.Enum):
     UNDETERMINED = "UndeterminedByTheory"
 
 
-# Partial order used by monotonicity arguments: NotPSD < PSD-not-PD < PD.
-STRENGTH = {
-    Classification.NOT_PSD: 0,
-    Classification.PSD_NOT_PD: 1,
-    Classification.POSITIVE_DEFINITE: 2,
-}
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Classification of a binary quartic with the analytic branch that fired.

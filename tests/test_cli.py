@@ -140,3 +140,15 @@ def test_sweep_mode(capsys):
     assert report["summary"]["tensors"] == 256
     assert report["summary"]["conflicts"] == 0
     assert report["summary"]["counts"]["8/3:PositiveDefinite"] == 64
+
+
+@pytest.mark.parametrize("entries", [
+    {"1111": "1e400", "2222": 1, "3333": 1},  # float(Fraction) overflows
+    {"1111": "1e308", "1122": "1e308", "2222": 1, "3333": 1},  # 6 * 1e308 overflows
+])
+def test_overflowing_coefficients_exit_cleanly(tmp_path, capsys, entries):
+    path = write_tensor(tmp_path, "huge.json", 3, entries)
+    assert main([path, "--mode", "oracle-only"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+    assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qpd.binary import classify_binary
@@ -8,12 +9,18 @@ from qpd.oracle import (
     NonFiniteValue,
     NumericVerdict,
     OracleConfig,
+    _eval_batch,
+    _float_terms,
+    _grad_batch,
+    _grad_tables,
+    _seed_grid,
+    _seed_table,
     min_on_sphere,
     negative_witness,
     rationalize_and_confirm,
     verify_verdict,
 )
-from qpd.tensors import BinaryQuartic, build_tensor, evaluate
+from qpd.tensors import BinaryQuartic, build_tensor, evaluate, gradient, multi_indices
 from qpd.ternary import SignClassTensor
 from qpd.verdicts import Classification
 
@@ -66,6 +73,59 @@ class TestMinOnSphere:
     def test_overflow(self):
         with pytest.raises(NonFiniteValue):
             min_on_sphere(BinaryQuartic(1e308, 0.0, 1e308, 0.0, 1e308), CFG)
+
+
+def general_ternary():
+    coeffs = (3, F(-1, 2), F(5, 4), F(7, 3), 2, F(-3, 4), F(1, 6), F(-5, 2),
+              F(2, 3), 1, F(9, 4), F(-1, 3), F(4, 5), F(-7, 6), F(5, 2))
+    return build_tensor(3, dict(zip(multi_indices(3), coeffs)))
+
+
+DIM_TENSORS = {2: BinaryQuartic(F(3, 2), F(-1, 3), F(1, 4), F(5, 6), 2), 3: general_ternary()}
+
+
+class TestSeedCache:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cached_seed_values_match_direct_evaluation(self, dim):
+        C, E = _float_terms(DIM_TENSORS[dim])
+        seeds, M = _seed_table(dim, 64)
+        assert np.array_equal(seeds, _seed_grid(dim, 64))
+        assert np.array_equal(M @ C, _eval_batch(_seed_grid(dim, 64), C, E))
+
+    def test_cached_arrays_are_read_only(self):
+        seeds, M = _seed_table(3, 64)
+        assert not seeds.flags.writeable and not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+    def test_second_call_is_a_cache_hit(self):
+        first = _seed_table(3, 40)
+        hits = _seed_table.cache_info().hits
+        second = _seed_table(3, 40)
+        assert _seed_table.cache_info().hits == hits + 1
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fused_gradient_equals_per_coordinate_loop(self, dim):
+        C, E = _float_terms(DIM_TENSORS[dim])
+        X = _seed_grid(dim, 16)
+        expected = np.empty_like(X)
+        for k in range(dim):
+            Ek = E.copy()
+            Ek[:, k] = np.maximum(Ek[:, k] - 1, 0)
+            expected[:, k] = np.prod(X[:, None, :] ** Ek[None, :, :], axis=2) @ (C * E[:, k])
+        assert np.array_equal(_grad_batch(X, *_grad_tables(C, E)), expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fused_gradient_matches_exact(self, dim):
+        T = DIM_TENSORS[dim]
+        points = [(F(1), F(-2, 3), F(1, 5)), (F(-3, 7), F(4, 9), F(2)), (F(1, 2), F(0), F(-1))]
+        points = [p[:dim] for p in points]
+        C, E = _float_terms(T)
+        G = _grad_batch(np.array(points, dtype=float), *_grad_tables(C, E))
+        for row, p in zip(G, points):
+            exact = [float(g) for g in gradient(T, p)]
+            assert row.tolist() == pytest.approx(exact, rel=1e-12, abs=1e-10)
 
 
 class TestRationalize:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpd.tensors import (
@@ -187,10 +187,16 @@ def test_symmetry_under_key_permutation(entries, x):
 
 @given(st.dictionaries(st.sampled_from(multi_indices(2)), rationals, max_size=5),
        st.lists(rationals, min_size=2, max_size=2))
+@example(entries={(1, 1, 1, 2): F(49, 6)}, x=[F(67, 7), F(48, 5)])  # value ~2.7e5
 @settings(max_examples=50)
 def test_exact_float_agreement(entries, x):
     T = build_tensor(2, entries)
     Tf = build_tensor(2, {k: float(v) for k, v in entries.items()})
     exact = evaluate(T, x)
     approx = evaluate(Tf, [float(v) for v in x])
-    assert abs(float(exact) - approx) <= 1e-10
+    # Forward error bound: each of the five terms picks up about a dozen
+    # roundings (inputs, products, the running sum), so its error is below
+    # 64 unit roundoffs of the exactly computed sum of |term|.
+    magnitude = sum(abs(w * c * math.prod(x[i - 1] for i in midx))
+                    for midx, w, c in T.terms())
+    assert abs(float(exact) - approx) <= 64 * 2**-53 * (1 + float(magnitude))
