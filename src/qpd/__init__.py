@@ -10,9 +10,9 @@ from .tensors import (
     evaluate,
     gradient,
     load_tensor,
-    rewrite_forms,
     tensor_from_json,
 )
+from .ternary import rewrite_forms
 from .verdicts import Classification, ClassVerdict, Regime, Verdict
 
 __all__ = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .oracle import OracleConfig, negative_witness
 from .tensors import BinaryQuartic, Scalar, Vector, evaluate
 from .verdicts import Classification, Verdict
 
@@ -154,8 +155,6 @@ def _negative_point(T: BinaryQuartic) -> Vector | None:
     for x in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)):
         if evaluate(T, x) < 0:
             return x
-    from .oracle import OracleConfig, negative_witness
-
     return negative_witness(T, OracleConfig())
 
 

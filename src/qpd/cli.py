@@ -15,7 +15,7 @@ from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
 from .oracle import (AgreementReport, NonFiniteValue, OracleConfig, OracleResult,
                      min_on_sphere, verify_verdict)
-from .tensors import ParseError, TensorError, format_scalar, load_tensor
+from .tensors import ParseError, TensorError, evaluate, format_scalar, load_tensor
 from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary, validate_class
 from .verdicts import Classification, ClassVerdict, Verdict
 
@@ -55,8 +55,6 @@ def _numeric_json(result: OracleResult | None):
 
 
 def _witness_exact(tensor, verdict):
-    from .tensors import evaluate
-
     if verdict is None or verdict.witness is None:
         return None
     return {
@@ -113,7 +111,7 @@ def _classify_tensor(tensor, mode):
     return classify_ternary(tensor), None
 
 
-def _run_classify(args) -> int:
+def _run_classify(args, cfg: OracleConfig) -> int:
     try:
         tensor = load_tensor(args.input)
     except OSError as exc:
@@ -127,7 +125,6 @@ def _run_classify(args) -> int:
               f"mode {args.mode}", file=sys.stderr)
         return 1
 
-    cfg = _oracle_config(args)
     numeric = None
     agreement = "n/a"
     try:
@@ -156,8 +153,7 @@ def _run_classify(args) -> int:
     return 2 if agreement == "conflict" else 0
 
 
-def _run_sweep(args) -> int:
-    cfg = _oracle_config(args)
+def _run_sweep(args, cfg: OracleConfig) -> int:
     rows = []
     conflicts = 0
     counts: dict[str, int] = {}
@@ -213,6 +209,9 @@ def _run_inequalities(args) -> int:
             failures += 1
             results.append({"inequality": label, "status": "violated", "detail": str(exc)})
             continue
+        except ValueError as exc:  # a bad --samples
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         results.append(
             {
                 "inequality": label,
@@ -267,14 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        cfg = _oracle_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.mode == "sweep":
-        return _run_sweep(args)
+        return _run_sweep(args, cfg)
     if args.mode == "inequalities":
         return _run_inequalities(args)
     if args.input is None:
         print("error: an input tensor file is required for this mode", file=sys.stderr)
         return 1
-    return _run_classify(args)
+    return _run_classify(args, cfg)
 
 
 if __name__ == "__main__":

@@ -1,27 +1,24 @@
 """Quartic inequality residuals with their equality cases and exchange
 symmetries.
 
-Each inequality is stored as the exact monomial expansion of LHS - RHS; the
-exchange flags swap the coefficients of designated cubic monomial pairs
-(x1^3*x2 with x1*x2^3 and so on), which is the symmetry the inequalities are
-claimed to respect.
+The residual LHS - RHS of each inequality is a sign-class tensor (see
+:class:`qpd.ternary.SignClassTensor`): unit diagonal, one off-diagonal level
+b, and six sign bits.  The exchange flags swap the coefficients of designated
+cubic monomial pairs (x1^3*x2 with x1*x2^3 and so on), which is the symmetry
+the inequalities are claimed to respect; in the tensor each exchange flips one
+s bit.
 """
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensors import (
-    MultiIndex,
-    Scalar,
-    TernaryQuartic,
-    Vector,
-    multi_indices,
-    multiplicity,
-)
+from .oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
+from .tensors import Scalar, TernaryQuartic, evaluate
+from .ternary import SignClassTensor
 
 
 class UnknownId(Exception):
@@ -42,96 +39,19 @@ class IneqName(enum.Enum):
 
 
 SWAPS = ("swap12", "swap13", "swap23")
-_SWAP_PAIRS = {
-    "swap12": ((1, 1, 1, 2), (1, 2, 2, 2)),
-    "swap13": ((1, 1, 1, 3), (1, 3, 3, 3)),
-    "swap23": ((2, 3, 3, 3), (2, 2, 2, 3)),
+# The sign bit each exchange negates, as an index into s = (s112, s113, s223).
+_SWAP_BITS = {"swap12": 0, "swap13": 1, "swap23": 2}
+# Every residual has s = _BASE_S before its exchanges; the table gives
+# c = (c123, c223, c233) and the level b.
+_BASE_S = (-1, 1, -1)
+_CLASS_FORM = {
+    IneqName.C32_I: ((-1, -1, -1), Fraction(11, 6)),
+    IneqName.C32_II: ((-1, -1, -1), Fraction(2)),
+    IneqName.C33_I: ((1, 1, 1), Fraction(5, 2)),
+    IneqName.C33_II: ((1, 1, -1), Fraction(8, 3)),
+    IneqName.C33_III: ((-1, -1, -1), Fraction(8, 3)),
+    IneqName.C33_IV: ((-1, -1, 1), Fraction(5, 2)),
 }
-
-Poly = dict  # sorted multi-index -> Fraction, as full monomial coefficients
-
-
-def _add(poly: Poly, midx, coeff) -> None:
-    key = tuple(sorted(midx))
-    poly[key] = poly.get(key, Fraction(0)) + Fraction(coeff)
-
-
-def _signed_power(signs) -> Poly:
-    """(s1*x1 + s2*x2 + s3*x3)^4 as a monomial dict."""
-    poly: Poly = {}
-    for midx in multi_indices(3):
-        sgn = 1
-        for i in midx:
-            sgn *= signs[i - 1]
-        _add(poly, midx, multiplicity(midx) * sgn)
-    return poly
-
-
-def _squares_sum(scale) -> Poly:
-    poly: Poly = {}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        _add(poly, (i, i, j, j), scale)
-    return poly
-
-
-def _combine(*polys: Poly) -> Poly:
-    out: Poly = {}
-    for poly in polys:
-        for key, coeff in poly.items():
-            _add(out, key, coeff)
-    return out
-
-
-def _cubics(coeffs: dict) -> Poly:
-    poly: Poly = {}
-    for midx, coeff in coeffs.items():
-        _add(poly, midx, coeff)
-    return poly
-
-
-def _base_polynomial(name: IneqName) -> Poly:
-    plus, minus = (1, 1, 1), (1, 1, -1)
-    if name is IneqName.C32_I:
-        return _combine(
-            _signed_power(minus),
-            _squares_sum(5),
-            _cubics({(1, 1, 1, 2): -8, (1, 1, 1, 3): 8, (2, 3, 3, 3): 8}),
-            {(1, 2, 3, 3): Fraction(-24)},
-        )
-    if name is IneqName.C32_II:
-        return _combine(
-            _signed_power(minus),
-            _squares_sum(6),
-            _cubics({(1, 1, 1, 2): -8, (1, 1, 1, 3): 8, (2, 3, 3, 3): 8}),
-            {(1, 2, 3, 3): Fraction(-24)},
-        )
-    if name is IneqName.C33_I:
-        return _combine(
-            _signed_power(plus),
-            _squares_sum(9),
-            _cubics({(1, 3, 3, 3): -8, (1, 1, 1, 2): -8, (2, 2, 2, 3): -8}),
-        )
-    if name is IneqName.C33_II:
-        return _combine(
-            _signed_power(plus),
-            _squares_sum(10),
-            _cubics({(1, 3, 3, 3): -8, (1, 1, 1, 2): -8, (2, 2, 2, 3): -8}),
-            {(1, 2, 3, 3): Fraction(-24)},
-        )
-    if name is IneqName.C33_III:
-        return _combine(
-            _signed_power(minus),
-            _squares_sum(10),
-            _cubics({(1, 1, 1, 2): -8, (1, 1, 1, 3): 8, (2, 3, 3, 3): 8}),
-            {(1, 2, 3, 3): Fraction(-24)},
-        )
-    if name is IneqName.C33_IV:
-        return _combine(
-            _signed_power(minus),
-            _squares_sum(9),
-            _cubics({(1, 1, 1, 2): -8, (1, 1, 1, 3): 8, (2, 3, 3, 3): 8}),
-        )
-    raise UnknownId(f"unknown inequality {name!r}")
 
 
 @dataclass(frozen=True)
@@ -166,34 +86,20 @@ class InequalityId:
         return self.name is not IneqName.C32_I
 
 
-def residual_polynomial(iid: InequalityId) -> Poly:
-    poly = dict(_base_polynomial(iid.name))
+def residual_tensor(iid: InequalityId) -> TernaryQuartic:
+    """LHS - RHS as its sign-class tensor; each exchange flips one s bit."""
+    c, b = _CLASS_FORM[iid.name]
+    s = list(_BASE_S)
     for swap in iid.exchange:
-        a, b = _SWAP_PAIRS[swap]
-        poly[a], poly[b] = poly.get(b, Fraction(0)), poly.get(a, Fraction(0))
-    return poly
+        s[_SWAP_BITS[swap]] *= -1
+    return SignClassTensor(*s, *c, b).to_quartic()
 
 
 def residual(iid: InequalityId, x) -> Scalar:
     """LHS - RHS of the inequality at x; exact for exact inputs."""
     if len(x) != 3:
         raise UnknownId("residuals are ternary; x must have 3 components")
-    total: Scalar = 0
-    for midx, coeff in residual_polynomial(iid).items():
-        mono = coeff
-        for i in midx:
-            mono = mono * x[i - 1]
-        total = total + mono
-    return total
-
-
-def residual_tensor(iid: InequalityId) -> TernaryQuartic:
-    """The residual as a symmetric tensor (monomial coefficient divided by the
-    multinomial multiplicity)."""
-    poly = residual_polynomial(iid)
-    return TernaryQuartic.from_map(
-        {midx: coeff / multiplicity(midx) for midx, coeff in poly.items()}
-    )
+    return evaluate(residual_tensor(iid), x)
 
 
 _STRUCTURED_POINTS = (
@@ -246,9 +152,10 @@ def check_inequality(iid: InequalityId, samples: int, seed: int = 0) -> IneqRepo
     if iid.name is IneqName.C32_I:
         # Exercise both directions of the equality case.
         points += [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))]
+    T = residual_tensor(iid)
     minimum = None
     for x in points:
-        value = residual(iid, x)
+        value = evaluate(T, x)
         report.checked_points += 1
         nonzero = any(v != 0 for v in x)
         if value < 0:
@@ -267,14 +174,10 @@ def check_inequality(iid: InequalityId, samples: int, seed: int = 0) -> IneqRepo
             minimum = value
     report.min_residual = minimum
 
-    from .oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
-
     cfg = OracleConfig()
-    result = min_on_sphere(residual_tensor(iid), cfg)
+    result = min_on_sphere(T, cfg)
     report.oracle_min = result.min_value
-    report.oracle_exact = rationalize_and_confirm(
-        residual_tensor(iid), result.argmin, cfg.max_denominator
-    )
+    report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
     if result.min_value < -cfg.verdict_tol:
         raise ViolationFound(
             f"{iid.name.value}: oracle found sphere minimum {result.min_value} < 0"

@@ -51,8 +51,12 @@ class OracleConfig:
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
-        if self.verdict_tol <= 0 or self.refine_tol <= 0:
+        if not (self.verdict_tol > 0 and self.refine_tol > 0):  # rejects NaN too
             raise ValueError("tolerances must be positive")
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
+        if self.max_denominator < 1:
+            raise ValueError("max_denominator must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class OracleResult:
     argmin: tuple[float, ...]
     verdict: NumericVerdict
     confirmed_exact: Optional[Fraction] = None
+    # The rational point whose exact value is confirmed_exact.
+    witness: Optional[Vector] = None
 
 
 def _exponents(dim: int) -> np.ndarray:
@@ -190,13 +196,21 @@ def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResul
     else:
         verdict = NumericVerdict.BOUNDARY_PSD
 
-    confirmed = None
+    confirmed = witness = None
     if verdict is NumericVerdict.NOT_PSD:
-        confirmed = _confirm_negative(T, argmin, cfg.max_denominator)
-        if confirmed is None:
+        confirmation = _confirm_negative(T, argmin, cfg.max_denominator)
+        if confirmation is None:
             # Cannot certify the negative value exactly; stay honest.
             verdict = NumericVerdict.BOUNDARY_PSD
-    return OracleResult(min_value, tuple(float(v) for v in argmin), verdict, confirmed)
+        else:
+            witness, confirmed = confirmation
+    return OracleResult(
+        min_value, tuple(float(v) for v in argmin), verdict, confirmed, witness
+    )
+
+
+def _rational_point(x, max_denominator: int) -> Vector:
+    return tuple(Fraction(float(v)).limit_denominator(max_denominator) for v in x)
 
 
 def rationalize_and_confirm(T: Quartic, x, max_denominator: int) -> Fraction:
@@ -204,36 +218,31 @@ def rationalize_and_confirm(T: Quartic, x, max_denominator: int) -> Fraction:
     denominators bounded by max_denominator."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    point = tuple(Fraction(float(v)).limit_denominator(max_denominator) for v in x)
-    return evaluate(T, point)
+    return evaluate(T, _rational_point(x, max_denominator))
 
 
-def _confirm_negative(T: Quartic, x, max_denominator: int) -> Optional[Fraction]:
+def _confirm_negative(T: Quartic, x, max_denominator: int) -> Optional[tuple[Vector, Fraction]]:
+    """The first rounding of x with a negative exact value, and that value.
+
+    Denominator bounds climb 8, 128, 2048, ... while they stay within
+    max_denominator, then max_denominator itself is tried.
+    """
     den = 8
-    while den <= max_denominator:
-        value = rationalize_and_confirm(T, x, den)
+    while True:
+        den = min(den, max_denominator)
+        point = _rational_point(x, den)
+        value = evaluate(T, point)
         if value < 0:
-            return value
+            return point, value
+        if den == max_denominator:
+            return None
         den *= 16
-    value = rationalize_and_confirm(T, x, max_denominator)
-    return value if value < 0 else None
 
 
 def negative_witness(T: Quartic, cfg: OracleConfig = OracleConfig()) -> Optional[Vector]:
     """An exact rational point with strictly negative value, if the oracle can
     find and confirm one."""
-    result = min_on_sphere(T, cfg)
-    if result.min_value >= -cfg.verdict_tol:
-        return None
-    den = 8
-    while den <= cfg.max_denominator:
-        point = tuple(
-            Fraction(float(v)).limit_denominator(den) for v in result.argmin
-        )
-        if evaluate(T, point) < 0:
-            return point
-        den *= 16
-    return None
+    return min_on_sphere(T, cfg).witness
 
 
 _EXPECTED = {

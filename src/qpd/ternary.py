@@ -7,12 +7,14 @@ conditions III and IV decide the boundary levels.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .tensors import Scalar, TernaryQuartic, Vector, evaluate, multi_indices
+from .oracle import OracleConfig, negative_witness
+from .tensors import Scalar, TernaryQuartic, Vector, check_dim, evaluate, multi_indices
 from .verdicts import Classification, ClassVerdict, Regime
 
 
@@ -152,57 +154,70 @@ def _pattern_image(S: SignClassTensor, perm, sigma) -> tuple:
     return img.s + img.c
 
 
-_ORBIT_CACHE: dict = {}
-
-
-def _orbit_condition(S: SignClassTensor, literal) -> bool:
+@functools.cache
+def _orbit_condition(literal, pattern: tuple) -> bool:
     """Whether some relabeling (index permutation and/or variable negation)
-    of the sign pattern satisfies the literal condition.
+    of the sign pattern s + c satisfies the literal condition.
 
     The literal conditions fix a representative; negating one variable moves
     the c-pattern as well as the s-pattern, so the set they carve out is only
-    meaningful up to this closure.
+    meaningful up to this closure.  Neither condition reads the level b.
     """
-    key = (literal.__name__, S.s, S.c)
-    hit = _ORBIT_CACHE.get(key)
-    if hit is None:
-        hit = any(
-            literal(SignClassTensor(*_pattern_image(S, perm, sigma), S.b))
-            for perm, sigma in _GROUP
-        )
-        _ORBIT_CACHE[key] = hit
-    return hit
+    S = SignClassTensor(*pattern, Fraction(1))
+    return any(
+        literal(SignClassTensor(*_pattern_image(S, perm, sigma), S.b))
+        for perm, sigma in _GROUP
+    )
 
 
 def condition_iii_up_to_relabeling(S: SignClassTensor) -> bool:
-    return _orbit_condition(S, check_condition_iii)
+    return _orbit_condition(check_condition_iii, S.s + S.c)
 
 
 def condition_iv_up_to_relabeling(S: SignClassTensor) -> bool:
-    return _orbit_condition(S, check_condition_iv)
+    return _orbit_condition(check_condition_iv, S.s + S.c)
 
 
-# Counterexample points from the necessity arguments, keyed by the
-# representative sign pattern they were stated for (s fixed at (1,1,-1)).
-_WITNESS_CASES_LOW = (  # levels 11/6 and 2
+@dataclass(frozen=True)
+class _Level:
+    """How a studied level b is decided.
+
+    The class is ``holds`` when ``condition`` holds (always when it is None)
+    and NotPSD otherwise.  ``witness_cases`` are the counterexample points of
+    the necessity arguments, each with the c-pattern of the representative it
+    was stated for (s fixed at _REPRESENTATIVE_S).
+    """
+
+    regime: Regime
+    condition: Optional[Callable[[SignClassTensor], bool]]
+    holds: Classification
+    witness_cases: tuple = ()
+
+
+_REPRESENTATIVE_S = (1, 1, -1)
+# The levels 11/6 and 2 share their necessity arguments.
+_LOW_LEVEL_CASES = (
     ((-1, -1, 1), (Fraction(1, 5), Fraction(-1, 5), Fraction(1))),
     ((1, -1, 1), (Fraction(1, 2), Fraction(-1, 2), Fraction(1))),
     ((1, 1, 1), (Fraction(1, 5), Fraction(-1, 5), Fraction(1))),
     ((-1, -1, -1), (Fraction(-1), Fraction(-3), Fraction(-1))),
 )
-_WITNESS_CASES_5_2 = (
-    ((1, -1, 1), (Fraction(1, 4), Fraction(-1, 4), Fraction(1))),
-    ((-1, -1, -1), (Fraction(-1), Fraction(-3), Fraction(-1))),
-)
-_REPRESENTATIVE_S = (1, 1, -1)
-
-
-def _witness_cases(S: SignClassTensor):
-    if S.b in (Fraction(11, 6), Fraction(2)):
-        return _WITNESS_CASES_LOW
-    if S.b == Fraction(5, 2):
-        return _WITNESS_CASES_5_2
-    return ()
+# Conditions are applied up to relabeling: the literal statements fix a
+# representative and are not invariant under variable negation.
+_LEVELS = {
+    Fraction(11, 6): _Level(Regime.B_11_6, condition_iii_up_to_relabeling,
+                            Classification.PSD_NOT_PD, _LOW_LEVEL_CASES),
+    Fraction(2): _Level(Regime.B_2, condition_iii_up_to_relabeling,
+                        Classification.POSITIVE_DEFINITE, _LOW_LEVEL_CASES),
+    Fraction(5, 2): _Level(
+        Regime.B_5_2, condition_iv_up_to_relabeling, Classification.POSITIVE_DEFINITE,
+        (((1, -1, 1), (Fraction(1, 4), Fraction(-1, 4), Fraction(1))),
+         ((-1, -1, -1), (Fraction(-1), Fraction(-3), Fraction(-1)))),
+    ),
+    # Every level b >= 8/3 is decided as 8/3.
+    Fraction(8, 3): _Level(Regime.B_GE_8_3, None, Classification.POSITIVE_DEFINITE),
+}
+STUDIED_LEVELS = tuple(_LEVELS)
 
 
 def proof_witness(S: SignClassTensor) -> Optional[Vector]:
@@ -212,7 +227,8 @@ def proof_witness(S: SignClassTensor) -> Optional[Vector]:
     a stated representative case; returns the correspondingly relabeled point,
     or None when no representative covers this pattern.
     """
-    cases = _witness_cases(S)
+    row = _LEVELS.get(S.b)
+    cases = row.witness_cases if row is not None else ()
     if not cases:
         return None
     T = S.to_quartic()
@@ -234,31 +250,11 @@ def proof_witness(S: SignClassTensor) -> Optional[Vector]:
     return None
 
 
-STUDIED_LEVELS = (Fraction(11, 6), Fraction(2), Fraction(5, 2), Fraction(8, 3))
-
-
 def _class_at_level(S: SignClassTensor, level: Fraction) -> Classification:
-    # Conditions are applied up to relabeling: the literal statements fix a
-    # representative and are not invariant under variable negation.
-    if level == Fraction(11, 6):
-        return (
-            Classification.PSD_NOT_PD
-            if condition_iii_up_to_relabeling(S)
-            else Classification.NOT_PSD
-        )
-    if level == Fraction(2):
-        return (
-            Classification.POSITIVE_DEFINITE
-            if condition_iii_up_to_relabeling(S)
-            else Classification.NOT_PSD
-        )
-    if level == Fraction(5, 2):
-        return (
-            Classification.POSITIVE_DEFINITE
-            if condition_iv_up_to_relabeling(S)
-            else Classification.NOT_PSD
-        )
-    return Classification.POSITIVE_DEFINITE  # level >= 8/3
+    row = _LEVELS[level]
+    if row.condition is None or row.condition(S):
+        return row.holds
+    return Classification.NOT_PSD
 
 
 def _negative_witness(S: SignClassTensor, at_level: Optional[Fraction] = None) -> Optional[Vector]:
@@ -269,8 +265,6 @@ def _negative_witness(S: SignClassTensor, at_level: Optional[Fraction] = None) -
     T = S.to_quartic()
     if w is not None and evaluate(T, w) < 0:
         return w
-    from .oracle import OracleConfig, negative_witness
-
     return negative_witness(T, OracleConfig())
 
 
@@ -310,27 +304,46 @@ def classify_ternary(T: TernaryQuartic) -> ClassVerdict:
         "III-literal": check_condition_iii(S),
         "IV-literal": check_condition_iv(S),
     }
-    b = S.b
-    if b == Fraction(11, 6):
-        regime = Regime.B_11_6
-    elif b == Fraction(2):
-        regime = Regime.B_2
-    elif b == Fraction(5, 2):
-        regime = Regime.B_5_2
-    elif b >= Fraction(8, 3):
-        regime = Regime.B_GE_8_3
-    else:
-        regime = Regime.OUT_OF_REGIME
-
-    if regime is Regime.OUT_OF_REGIME:
+    top = STUDIED_LEVELS[-1]
+    level = top if S.b >= top else S.b
+    if level not in _LEVELS:
         bound, witness = _monotone_bound(S)
         return ClassVerdict(
-            Classification.UNDETERMINED, regime, cond, witness, monotone_bound=bound
+            Classification.UNDETERMINED, Regime.OUT_OF_REGIME, cond, witness,
+            monotone_bound=bound,
         )
-
-    level = b if regime is not Regime.B_GE_8_3 else Fraction(8, 3)
-    cls = _class_at_level(S, min(level, Fraction(8, 3)))
+    cls = _class_at_level(S, level)
     witness = None
     if cls is Classification.NOT_PSD:
         witness = _negative_witness(S)
-    return ClassVerdict(cls, regime, cond, witness)
+    return ClassVerdict(cls, _LEVELS[level].regime, cond, witness)
+
+
+# The four expansion centers used by the rewriting identities.
+_REWRITE_SIGNS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+
+
+def rewrite_forms(T: TernaryQuartic, x: Sequence[Scalar]) -> list[Scalar]:
+    """Evaluate the four (sum-of-signed-variables)^4 rewritings of the form.
+
+    Only valid for tensors in the unit-entry class with antisymmetric cubic
+    pairing (see :func:`validate_class`); each returned value equals
+    ``evaluate(T, x)``, computed along a different algebraic route.
+    """
+    validate_class(T)  # raises NotInClass otherwise
+    check_dim(T, x)
+    x1, x2, x3 = x
+    values = []
+    for s in _REWRITE_SIGNS:
+        v = (s[0] * x1 + s[1] * x2 + s[2] * x3) ** 4
+        for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+            t = T.coeff((i, i, i, j))
+            v = v + 4 * (t - s[i - 1] * s[j - 1]) * x[i - 1] ** 3 * x[j - 1]
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            t = T.coeff((i, i, j, j))
+            v = v + 6 * (t - 1) * x[i - 1] ** 2 * x[j - 1] ** 2
+        for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+            t = T.coeff((i, i, j, k))
+            v = v + 12 * (t - s[j - 1] * s[k - 1]) * x[i - 1] ** 2 * x[j - 1] * x[k - 1]
+        values.append(v)
+    return values

@@ -152,3 +152,19 @@ def test_overflowing_coefficients_exit_cleanly(tmp_path, capsys, entries):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid", "4"],
+    ["--tol", "0"],
+    ["--tol", "nan"],
+    ["--starts", "0"],
+    ["--starts", "-3"],
+    ["--max-denominator", "0"],
+    ["--mode", "inequalities", "--samples", "0"],
+])
+def test_invalid_oracle_flags_exit_cleanly(binary_indef, capsys, flags):
+    assert main([binary_indef] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -51,6 +52,54 @@ class TestResidual:
     def test_bad_dimension(self):
         with pytest.raises(UnknownId):
             residual(rid(IneqName.C33_I), (1, 2))
+
+
+def reference_residual(name, exchange, x):
+    """LHS - RHS written out by hand, independently of the tensor code."""
+    x1, x2, x3 = x
+
+    def cubic(i, j):
+        """x_i^3 x_j; exchanging the pair {i, j} makes it x_i x_j^3."""
+        if f"swap{min(i, j)}{max(i, j)}" in exchange:
+            i, j = j, i
+        return x[i - 1] ** 3 * x[j - 1]
+
+    squares = x1**2 * x2**2 + x1**2 * x3**2 + x2**2 * x3**2
+    minus = (x1 + x2 - x3) ** 4 - 8 * cubic(1, 2) + 8 * cubic(1, 3) + 8 * cubic(3, 2)
+    plus = (x1 + x2 + x3) ** 4 - 8 * cubic(3, 1) - 8 * cubic(1, 2) - 8 * cubic(2, 3)
+    mixed = -24 * x1 * x2 * x3**2
+    return {
+        IneqName.C32_I: minus + 5 * squares + mixed,
+        IneqName.C32_II: minus + 6 * squares + mixed,
+        IneqName.C33_I: plus + 9 * squares,
+        IneqName.C33_II: plus + 10 * squares + mixed,
+        IneqName.C33_III: minus + 10 * squares + mixed,
+        IneqName.C33_IV: minus + 9 * squares,
+    }[name]
+
+
+def allowed_variants():
+    for name in IneqName:
+        if name in (IneqName.C32_I, IneqName.C32_II):
+            yield rid(name)
+            yield rid(name, *SWAPS)
+        else:
+            for k in range(4):
+                for swaps in combinations(SWAPS, k):
+                    yield rid(name, *swaps)
+
+
+def test_there_are_36_allowed_variants():
+    assert len(set(allowed_variants())) == 36
+
+
+@pytest.mark.parametrize("iid", list(allowed_variants()),
+                         ids=lambda iid: "+".join([iid.name.value, *sorted(iid.exchange)]))
+def test_residual_matches_hand_written_expression(iid):
+    rng = random.Random(7)
+    for _ in range(200):
+        x = tuple(F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(3))
+        assert residual(iid, x) == reference_residual(iid.name, iid.exchange, x)
 
 
 class TestExchangeFlags:

@@ -1,0 +1,71 @@
+"""Each module of the package imports only from lower layers.
+
+The layers, lowest first: tensors < verdicts < oracle < binary, ternary <
+inequalities < cli.  Modules on one layer may not import each other.  Every
+import statement counts, including those inside function bodies; the package
+``__init__`` is the public facade and may import any module.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import qpd
+
+LAYER = {
+    "tensors": 0,
+    "verdicts": 1,
+    "oracle": 2,
+    "binary": 3,
+    "ternary": 3,
+    "inequalities": 4,
+    "cli": 5,
+}
+PACKAGE = Path(qpd.__file__).parent
+
+
+def package_imports(path):
+    """Names of the package modules that a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[:1] != ["qpd"]:
+                    continue
+                parts = parts[1:]
+            if parts:
+                found.add(parts[0])
+            else:  # from . import name
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qpd" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER)
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_imports_point_downward(module):
+    imported = package_imports(PACKAGE / f"{module}.py")
+    upward = sorted(m for m in imported if LAYER[m] >= LAYER[module])
+    assert upward == [], f"{module} imports {upward} from its own or a higher layer"
+
+
+def test_import_scan_sees_function_bodies(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from . import oracle as o\n"
+        "import qpd.binary\n"
+        "def f():\n"
+        "    from .ternary import validate_class\n"
+        "    from qpd.cli import main\n"
+        "import numpy\n"
+    )
+    assert package_imports(source) == {"oracle", "binary", "ternary", "cli"}

@@ -54,6 +54,7 @@ class TestMinOnSphere:
         r = min_on_sphere(case1_tensor(), CFG)
         assert r.verdict is NumericVerdict.NOT_PSD
         assert r.confirmed_exact is not None and r.confirmed_exact < 0
+        assert evaluate(case1_tensor(), r.witness) == r.confirmed_exact
 
     def test_argmin_is_unit(self):
         r = min_on_sphere(case1_tensor(), CFG)
@@ -187,6 +188,7 @@ def test_negative_witness_is_exact():
     w = negative_witness(T, CFG)
     assert w is not None
     assert evaluate(T, w) < 0
+    assert evaluate(T, w) == min_on_sphere(T, CFG).confirmed_exact
 
 
 def test_negative_witness_absent_for_definite():
@@ -198,3 +200,7 @@ def test_config_validation():
         OracleConfig(grid_resolution=4)
     with pytest.raises(ValueError):
         OracleConfig(verdict_tol=0)
+    with pytest.raises(ValueError):
+        OracleConfig(starts=0)
+    with pytest.raises(ValueError):
+        OracleConfig(max_denominator=0)

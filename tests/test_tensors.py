@@ -18,9 +18,8 @@ from qpd.tensors import (
     multi_indices,
     multiplicity,
     parse_scalar,
-    rewrite_forms,
 )
-from qpd.ternary import NotInClass, SignClassTensor
+from qpd.ternary import NotInClass, SignClassTensor, rewrite_forms
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 
