@@ -3,6 +3,8 @@
 Analytic classifiers backed by exact rational arithmetic, cross-checked by a
 sphere-minimization oracle.
 """
+from .binary import classify_binary, classify_sign_binary
+from .oracle import OracleConfig, min_on_sphere, verify_verdict
 from .tensors import (
     BinaryQuartic,
     TernaryQuartic,
@@ -12,7 +14,7 @@ from .tensors import (
     load_tensor,
     tensor_from_json,
 )
-from .ternary import rewrite_forms
+from .ternary import classify_ternary, rewrite_forms
 from .verdicts import Classification, ClassVerdict, Regime, Verdict
 
 __all__ = [
@@ -24,6 +26,12 @@ __all__ = [
     "load_tensor",
     "rewrite_forms",
     "tensor_from_json",
+    "classify_binary",
+    "classify_sign_binary",
+    "classify_ternary",
+    "min_on_sphere",
+    "OracleConfig",
+    "verify_verdict",
     "Classification",
     "ClassVerdict",
     "Regime",

@@ -187,7 +187,7 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
     return 2 if conflicts else 0
 
 
-def _run_inequalities(args) -> int:
+def _run_inequalities(args, cfg: OracleConfig) -> int:
     variants = []
     for name in ineq.IneqName:
         variants.append(ineq.InequalityId(name))
@@ -204,7 +204,7 @@ def _run_inequalities(args) -> int:
             "+" + "+".join(sorted(iid.exchange)) if iid.exchange else ""
         )
         try:
-            rep = ineq.check_inequality(iid, args.samples, args.seed)
+            rep = ineq.check_inequality(iid, args.samples, args.seed, cfg)
         except ineq.ViolationFound as exc:
             failures += 1
             results.append({"inequality": label, "status": "violated", "detail": str(exc)})
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     if args.mode == "sweep":
         return _run_sweep(args, cfg)
     if args.mode == "inequalities":
-        return _run_inequalities(args)
+        return _run_inequalities(args, cfg)
     if args.input is None:
         print("error: an input tensor file is required for this mode", file=sys.stderr)
         return 1

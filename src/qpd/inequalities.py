@@ -135,12 +135,15 @@ class IneqReport:
     oracle_exact: Optional[Fraction] = None
 
 
-def check_inequality(iid: InequalityId, samples: int, seed: int = 0) -> IneqReport:
+def check_inequality(
+    iid: InequalityId, samples: int, seed: int = 0, cfg: OracleConfig = OracleConfig()
+) -> IneqReport:
     """Sample the residual at random exact rational points and the structured
     point set; raise ViolationFound at the first violated point.
 
     Also cross-checks via the sphere-minimization oracle on the residual
-    tensor, with exact confirmation at the rationalized argmin.
+    tensor (configured by cfg), with exact confirmation at the rationalized
+    argmin.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -174,7 +177,6 @@ def check_inequality(iid: InequalityId, samples: int, seed: int = 0) -> IneqRepo
             minimum = value
     report.min_residual = minimum
 
-    cfg = OracleConfig()
     result = min_on_sphere(T, cfg)
     report.oracle_min = result.min_value
     report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)

@@ -11,6 +11,12 @@ The seed grid and its monomial matrix depend only on the dimension and the
 grid resolution, so they are built once per ``(dim, grid_resolution)`` and
 cached (read-only); the seed values of a tensor are then one matrix-vector
 product with its coefficient vector.
+
+Every monomial and gradient entry is gathered from one power table
+``X[i, j] ** e`` (e = 0..4) per point set, so a refinement step makes
+n * dim * 5 ``pow`` calls instead of one per monomial entry; the products and
+mat-vecs keep the order of the direct formulas, so results are unchanged bit
+for bit.
 """
 from __future__ import annotations
 
@@ -87,15 +93,44 @@ def _float_terms(T: Quartic):
     return C, _exponents(T.dim)
 
 
-def _monomials(X: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """M[i, m] = prod_j X[i, j] ** E[m, j]."""
-    return np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+def _powers(X: np.ndarray) -> np.ndarray:
+    """Power table P[i, j, e] = X[i, j] ** e for e = 0..4, the only powers a
+    quartic's monomials use."""
+    return X[:, :, None] ** np.arange(5)
+
+
+def _monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """M[..., i, m] = prod_j X[i, j] ** E[..., m, j], gathered from the power
+    table P of X.
+
+    The factors are multiplied in ``np.prod``'s order (x_1's, then x_2's, ...),
+    so M equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit.  M is
+    made C-contiguous because the gather is not, and BLAS sums a mat-vec over
+    a differently ordered matrix in a different order.
+    """
+    M = P[:, 0, E[..., 0]]
+    for j in range(1, E.shape[-1]):
+        M = M * P[:, j, E[..., j]]
+    return np.ascontiguousarray(np.moveaxis(M, 0, -2))
+
+
+def _values(P: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
+    # Overflow to inf/nan is tolerated here; callers reject non-finite values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _monomials(P, E) @ C
+
+
+def _gradient(P: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
+    mono = _monomials(P, Ek)
+    G = np.empty(P.shape[:2])
+    for k in range(len(W)):
+        G[:, k] = mono[k] @ W[k]
+    return G
 
 
 def _eval_batch(X: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    # Overflow to inf/nan is tolerated here; callers reject non-finite values.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _monomials(X, E) @ C
+    """f at each row of X."""
+    return _values(_powers(X), C, E)
 
 
 def _grad_tables(C: np.ndarray, E: np.ndarray):
@@ -110,11 +145,8 @@ def _grad_tables(C: np.ndarray, E: np.ndarray):
 
 
 def _grad_batch(X: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
-    mono = np.prod(X[None, :, None, :] ** Ek[:, None, :, :], axis=3)
-    G = np.empty_like(X)
-    for k in range(len(W)):
-        G[:, k] = mono[k] @ W[k]
-    return G
+    """The gradient at each row of X."""
+    return _gradient(_powers(X), Ek, W)
 
 
 def _seed_grid(dim: int, n: int) -> np.ndarray:
@@ -137,10 +169,19 @@ def _seed_table(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Seed grid and its monomial matrix for every tensor of dimension dim,
     both read-only."""
     seeds = _seed_grid(dim, n)
-    M = _monomials(seeds, _exponents(dim))
+    M = _monomials(_powers(seeds), _exponents(dim))
     seeds.flags.writeable = False
     M.flags.writeable = False
     return seeds, M
+
+
+def _lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` without sorting every value:
+    only the values at or below the k-th smallest are sorted."""
+    k = min(k, len(values))
+    threshold = np.partition(values, k - 1)[k - 1]
+    candidates = np.flatnonzero(values <= threshold)
+    return candidates[np.argsort(values[candidates], kind="stable")][:k]
 
 
 def _refine(X, C, E, iters, tol):
@@ -149,11 +190,12 @@ def _refine(X, C, E, iters, tol):
     Accepted steps never increase the objective; points stop once their
     tangential gradient norm drops below tol.
     """
-    f = _eval_batch(X, C, E)
+    P = _powers(X)  # carried along with X, so each iteration builds one table
+    f = _values(P, C, E)
     Ek, W = _grad_tables(C, E)
     step = np.full(len(X), 0.1)
     for _ in range(iters):
-        G = _grad_batch(X, Ek, W)
+        G = _gradient(P, Ek, W)
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gnorm = np.linalg.norm(Gt, axis=1)
         active = gnorm > tol
@@ -162,13 +204,15 @@ def _refine(X, C, E, iters, tol):
         for _bt in range(60):
             cand = X - (step * active)[:, None] * Gt
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = _eval_batch(cand, C, E)
+            Pc = _powers(cand)
+            fc = _values(Pc, C, E)
             ok = active & (fc <= f - 1e-4 * step * gnorm**2)
             if ok.any() or not active.any():
                 break
             step = np.where(active, step / 2, step)
             active = active & (step > 1e-18)
         X = np.where(ok[:, None], cand, X)
+        P = np.where(ok[:, None, None], Pc, P)
         f = np.where(ok, fc, f)
         step = np.where(ok, step * 1.5, step / 2)
         step = np.clip(step, 1e-18, 1e3)
@@ -183,7 +227,7 @@ def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResul
         values = M @ C
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(_OVERFLOW)
-    order = np.argsort(values, kind="stable")[: cfg.starts]
+    order = _lowest(values, cfg.starts)
     X, f = _refine(seeds[order], C, E, cfg.refine_iters, cfg.refine_tol)
     best = int(np.argmin(f))
     argmin = X[best] / np.linalg.norm(X[best])

@@ -132,6 +132,17 @@ def test_inequalities_mode(capsys):
     assert report["summary"]["checked"] == 20
 
 
+def test_inequalities_mode_honours_oracle_flags(capsys):
+    def oracle_mins(flags):
+        code, report = run_json(capsys, ["--mode", "inequalities", "--samples", "1"] + flags)
+        assert code == 0
+        return [row["oracle_min"] for row in report["results"]]
+
+    default, coarse = oracle_mins([]), oracle_mins(["--grid", "8"])
+    assert len(default) == len(coarse) == 20
+    assert default != coarse
+
+
 @pytest.mark.slow
 def test_sweep_mode(capsys):
     code, report = run_json(capsys, ["--mode", "sweep", "--grid", "48",

@@ -10,9 +10,13 @@ from qpd.oracle import (
     NumericVerdict,
     OracleConfig,
     _eval_batch,
+    _exponents,
     _float_terms,
     _grad_batch,
     _grad_tables,
+    _lowest,
+    _monomials,
+    _powers,
     _seed_grid,
     _seed_table,
     min_on_sphere,
@@ -127,6 +131,130 @@ class TestSeedCache:
         for row, p in zip(G, points):
             exact = [float(g) for g in gradient(T, p)]
             assert row.tolist() == pytest.approx(exact, rel=1e-12, abs=1e-10)
+
+
+def direct_monomials(X, E):
+    """M[i, m] = prod_j X[i, j] ** E[m, j] by the direct formula: one pow per
+    entry, reduced by np.prod."""
+    return np.prod(X[:, None, :] ** E[None], axis=2)
+
+
+def loop_gradient(X, C, E):
+    """The gradient one coordinate at a time from the direct formula."""
+    G = np.empty_like(X)
+    for k in range(X.shape[1]):
+        Ek = E.copy()
+        Ek[:, k] = np.maximum(Ek[:, k] - 1, 0)
+        G[:, k] = direct_monomials(X, Ek) @ (C * E[:, k])
+    return G
+
+
+def unit_points(dim, n=500):
+    X = np.random.default_rng(dim).standard_normal((n, dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    # Coordinates that are exactly +0.0 or -0.0, whose signs must survive.
+    axes = np.eye(dim) * np.where(np.arange(dim) % 2, -1.0, 1.0)
+    return np.concatenate([X, axes, -axes])
+
+
+POINT_SETS = {
+    "seeds-2": (2, lambda: _seed_grid(2, 256)),
+    "seeds-3": (3, lambda: _seed_grid(3, 64)),
+    "unit-2": (2, lambda: unit_points(2)),
+    "unit-3": (3, lambda: unit_points(3)),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPowerTable:
+    """Evaluation from one power table equals the direct pow-per-entry
+    formulas bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("points", sorted(POINT_SETS))
+    def test_monomials_and_values(self, points):
+        dim, make = POINT_SETS[points]
+        X = make()
+        C, E = _float_terms(DIM_TENSORS[dim])
+        M = _monomials(_powers(X), E)
+        assert M.flags.c_contiguous
+        assert same_bits(M, direct_monomials(X, E))
+        assert same_bits(_eval_batch(X, C, E), direct_monomials(X, E) @ C)
+
+    @pytest.mark.parametrize("points", sorted(POINT_SETS))
+    def test_gradient(self, points):
+        dim, make = POINT_SETS[points]
+        X = make()
+        C, E = _float_terms(DIM_TENSORS[dim])
+        assert same_bits(_grad_batch(X, *_grad_tables(C, E)), loop_gradient(X, C, E))
+
+    def test_default_seed_table(self):
+        seeds, M = _seed_table(3, OracleConfig().grid_resolution)
+        assert same_bits(M, direct_monomials(np.asarray(seeds), _exponents(3)))
+
+
+class TestSeedSelection:
+    """_lowest(values, k) picks the seeds a full stable argsort would."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        ties = rng.integers(0, 5, 1000).astype(float)
+        zeros = rng.choice([0.0, -0.0, 1.0], 200)  # +0.0 and -0.0 tie
+        C, _ = _float_terms(boundary_tensor())
+        seed_values = _seed_table(3, 256)[1] @ C
+        for values in (ties, zeros, rng.standard_normal(300), seed_values):
+            for k in (1, 2, 32, len(values) - 1, len(values), len(values) + 24):
+                yield values, k
+        yield np.array([3.0, 1.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0]), 32  # --grid 8 binary
+
+    def test_matches_stable_argsort_prefix(self):
+        for values, k in self.cases():
+            expected = np.argsort(values, kind="stable")[:k]
+            assert np.array_equal(_lowest(values, k), expected), (len(values), k)
+
+
+# Default-oracle results, pinned bit for bit.  These tensors have several
+# symmetric minimizers, so a change in float summation order tends to move the
+# argmin (and the witness) to another one.
+GOLDEN = {
+    "binary-degenerate": (
+        BinaryQuartic(0, F(-3, 4), F(11, 3), 2, 4),
+        "-0x1.9546cfd97906dp-4", ("-0x1.feea7f6e10f7dp-1", "-0x1.0a64ac7f623d1p-4"),
+        F(-15, 1024), (F(-1), F(-1, 8)),
+    ),
+    "sign-class-11/6": (
+        SignClassTensor(1, -1, 1, 1, 1, 1, F(11, 6)).to_quartic(),
+        "-0x1.55c34b5ad2244p-3",
+        ("0x1.09f4f2b1b3f00p-2", "0x1.e0593740cf54cp-1", "-0x1.d4a211e5a08f5p-3"),
+        F(-51, 256), (F(1, 4), F(1), F(-1, 4)),
+    ),
+    "sign-class-23/12": (
+        SignClassTensor(-1, 1, -1, 1, 1, 1, F(23, 12)).to_quartic(),
+        "-0x1.d2eb8c9c3fad0p-4",
+        ("-0x1.c67eb6d69773ap-3", "0x1.e277093538ef3p-1", "0x1.009a2f9e2e222p-2"),
+        F(-18879, 160000), (F(-1, 5), F(1), F(1, 4)),
+    ),
+    "general-ternary": (
+        general_ternary(),
+        "-0x1.52c645e3f1bf2p+1",
+        ("-0x1.22a4f54b3aef2p-1", "0x1.35a4f05948c24p-1", "-0x1.1dfd6ebf48795p-1"),
+        F(-16282471, 6002500), (F(-4, 7), F(3, 5), F(-4, 7)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_default_results(name):
+    T, min_hex, argmin_hex, confirmed, witness = GOLDEN[name]
+    r = min_on_sphere(T, OracleConfig())
+    assert r.min_value.hex() == min_hex
+    assert tuple(v.hex() for v in r.argmin) == argmin_hex
+    assert r.verdict is NumericVerdict.NOT_PSD
+    assert r.confirmed_exact == confirmed
+    assert r.witness == witness
 
 
 class TestRationalize:
