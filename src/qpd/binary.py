@@ -161,9 +161,8 @@ def _negative_point(T: BinaryQuartic) -> Vector | None:
 def classify_sign_binary(T: BinaryQuartic) -> Verdict:
     """Fast path for unit-magnitude entries with unit diagonal:
     PSD iff t1122 = 1; PD additionally needs t1112 * t1222 = -1."""
-    coeffs = (T.t1111, T.t1112, T.t1122, T.t1222, T.t2222)
-    if any(v not in (1, -1) for v in coeffs) or T.t1111 != 1 or T.t2222 != 1:
-        raise NotInSignClass(f"entries {coeffs} are not a unit sign pattern")
+    if any(v not in (1, -1) for v in T.coeffs) or T.t1111 != 1 or T.t2222 != 1:
+        raise NotInSignClass(f"entries {T.coeffs} are not a unit sign pattern")
     if T.t1122 == 1:
         if T.t1112 * T.t1222 == -1:
             return Verdict(Classification.POSITIVE_DEFINITE, "sign-class")

@@ -15,7 +15,8 @@ from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
 from .oracle import (AgreementReport, NonFiniteValue, OracleConfig, OracleResult,
                      min_on_sphere, verify_verdict)
-from .tensors import ParseError, TensorError, evaluate, format_scalar, load_tensor
+from .tensors import (ParseError, TensorError, TooManyDigits, evaluate, format_scalar,
+                      load_tensor)
 from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary, validate_class
 from .verdicts import Classification, ClassVerdict, Verdict
 
@@ -137,18 +138,17 @@ def _run_classify(args, cfg: OracleConfig) -> int:
             check: AgreementReport = verify_verdict(tensor, analytic, cfg)
             numeric = check.numeric
             agreement = check.agreement
-    except NonFiniteValue as exc:
+        report = {
+            "input": str(args.input),
+            "mode": args.mode,
+            "agreement": agreement,
+            "analytic": _analytic_json(analytic),
+            "numeric": _numeric_json(numeric),
+            "witness_exact": _witness_exact(tensor, analytic),
+        }
+    except (NonFiniteValue, TooManyDigits) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
-
-    report = {
-        "input": str(args.input),
-        "mode": args.mode,
-        "agreement": agreement,
-        "analytic": _analytic_json(analytic),
-        "numeric": _numeric_json(numeric),
-        "witness_exact": _witness_exact(tensor, analytic),
-    }
     _emit(report, args.format)
     return 2 if agreement == "conflict" else 0
 

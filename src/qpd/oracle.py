@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensors import Quartic, Scalar, Vector, evaluate, multi_indices
+from .tensors import EXPONENTS, Quartic, Scalar, Vector, evaluate
 from .verdicts import Classification
 
 
@@ -77,8 +77,8 @@ class OracleResult:
 
 def _exponents(dim: int) -> np.ndarray:
     """Exponent matrix E[m, j] = power of x_j in the m-th monomial, in the
-    order of ``multi_indices(dim)`` (the order ``T.terms()`` yields)."""
-    return np.asarray([[midx.count(j + 1) for j in range(dim)] for midx in multi_indices(dim)])
+    order ``T.terms()`` yields (``tensors.EXPONENTS``)."""
+    return np.asarray(EXPONENTS[dim])
 
 
 def _float_terms(T: Quartic):

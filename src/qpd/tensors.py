@@ -2,19 +2,28 @@
 
 Storage is by sorted multi-index; the multinomial multiplicity is applied at
 evaluation time, so index symmetry is structural rather than enforced by
-copying entries around.  Coefficients are exact rationals
-(:class:`fractions.Fraction`) unless the caller supplies floats, in which case
-arithmetic degrades to binary64 in the usual Python way.
+copying entries around.  The multi-indices, multiplicities and exponent
+vectors of each dimension are tables built once at import.  Coefficients are
+exact rationals (:class:`fractions.Fraction`) unless the caller supplies
+floats, in which case arithmetic degrades to binary64 in the usual Python way.
+
+Exact evaluation clears denominators and sums in integers: each tensor keeps
+its weighted coefficients scaled by the lcm D of their denominators, a point x
+is scaled by the lcm L of its denominators to an integer vector n = L*x, and
+since the form is homogeneous of degree 4, f(x) = f_D(n) / (D * L**4) with one
+Fraction built at the end.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 MultiIndex = Tuple[int, int, int, int]
@@ -47,6 +56,10 @@ class ParseError(TensorError):
     """A tensor file does not conform to the JSON tensor format."""
 
 
+class TooManyDigits(TensorError):
+    """A rational has more digits than the interpreter converts to a string."""
+
+
 def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
     """Coerce a user-supplied value to a Scalar.
 
@@ -69,17 +82,30 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
     raise TensorError(f"cannot parse scalar {value!r}")
 
 
-def multi_indices(dim: int) -> list[MultiIndex]:
-    """All sorted degree-4 multi-indices over {1..dim} (5 for dim 2, 15 for 3)."""
-    return list(combinations_with_replacement(range(1, dim + 1), ORDER))
-
-
 def multiplicity(midx: MultiIndex) -> int:
     """Number of index permutations collapsing onto a sorted multi-index."""
     denom = 1
     for count in Counter(midx).values():
         denom *= math.factorial(count)
     return math.factorial(ORDER) // denom
+
+
+# Term tables per dimension, in storage order: the sorted multi-indices, their
+# multiplicities, and their exponent vectors (EXPONENTS[dim][m][j] is the power
+# of x_{j+1} in the m-th monomial).
+MULTI_INDICES = {
+    dim: tuple(combinations_with_replacement(range(1, dim + 1), ORDER)) for dim in (2, 3)
+}
+MULTIPLICITIES = {dim: tuple(map(multiplicity, idx)) for dim, idx in MULTI_INDICES.items()}
+EXPONENTS = {
+    dim: tuple(tuple(m.count(j) for j in range(1, dim + 1)) for m in idx)
+    for dim, idx in MULTI_INDICES.items()
+}
+
+
+def multi_indices(dim: int) -> list[MultiIndex]:
+    """All sorted degree-4 multi-indices over {1..dim} (5 for dim 2, 15 for 3)."""
+    return list(MULTI_INDICES[dim])
 
 
 def _canonical_key(key, dim: int) -> MultiIndex:
@@ -91,8 +117,35 @@ def _canonical_key(key, dim: int) -> MultiIndex:
     return tuple(sorted(key))
 
 
+_EXACT = (int, Fraction)
+
+
+class _QuarticTerms:
+    """Term iteration and the exact integer form, shared by both quartic
+    classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order."""
+
+    def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
+        return zip(MULTI_INDICES[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
+
+    @functools.cached_property
+    def integer_form(self) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
+        """``(D, rows)``: D is the lcm of the coefficient denominators and each
+        nonzero coefficient c_m gives a row ``(k_m, *exponents)`` with integer
+        weight k_m = multiplicity * c_m * D, so f(x) = sum_m k_m x^e_m / D.
+        None when a coefficient is not an int or a Fraction."""
+        if not all(isinstance(c, _EXACT) for c in self.coeffs):
+            return None
+        D = math.lcm(*(c.denominator for c in self.coeffs))
+        rows = tuple(
+            (w * c.numerator * (D // c.denominator), *e)
+            for e, w, c in zip(EXPONENTS[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
+            if c != 0
+        )
+        return D, rows
+
+
 @dataclass(frozen=True)
-class BinaryQuartic:
+class BinaryQuartic(_QuarticTerms):
     """The 5 independent coefficients of a symmetric quartic in two variables.
 
     The expanded form is
@@ -115,24 +168,23 @@ class BinaryQuartic:
         (2, 2, 2, 2): "t2222",
     }
 
+    @property
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        return (self.t1111, self.t1112, self.t1122, self.t1222, self.t2222)
+
     def coeff(self, midx) -> Scalar:
         return getattr(self, self._FIELDS[tuple(sorted(midx))])
 
-    def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
-        for midx in multi_indices(2):
-            yield midx, multiplicity(midx), self.coeff(midx)
-
 
 @dataclass(frozen=True)
-class TernaryQuartic:
+class TernaryQuartic(_QuarticTerms):
     """The 15 independent coefficients of a symmetric quartic in three variables."""
 
     coeffs: Tuple[Scalar, ...]
 
     dim = 3
 
-    _INDICES = tuple(combinations_with_replacement((1, 2, 3), ORDER))
-    _POSITION = {m: p for p, m in enumerate(_INDICES)}
+    _POSITION = {m: p for p, m in enumerate(MULTI_INDICES[3])}
 
     def __post_init__(self):
         if len(self.coeffs) != 15:
@@ -148,10 +200,6 @@ class TernaryQuartic:
 
     def coeff(self, midx) -> Scalar:
         return self.coeffs[self._POSITION[tuple(sorted(midx))]]
-
-    def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
-        for midx, c in zip(self._INDICES, self.coeffs):
-            yield midx, multiplicity(midx), c
 
 
 Quartic = Union[BinaryQuartic, TernaryQuartic]
@@ -191,8 +239,12 @@ def check_dim(T: Quartic, x: Sequence[Scalar]) -> None:
 
 def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
     """The quartic form at x: sum over sorted multi-indices of
-    multiplicity * coefficient * monomial.  Exact when all inputs are exact."""
+    multiplicity * coefficient * monomial.  Exact (a Fraction, computed in
+    integers) when the coefficients and x are all ints or Fractions."""
     check_dim(T, x)
+    form = T.integer_form
+    if form is not None and all(isinstance(v, _EXACT) for v in x):
+        return _exact_value(form, x)
     total: Scalar = 0
     for midx, w, c in T.terms():
         if c == 0:
@@ -202,6 +254,28 @@ def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
             mono = mono * x[i - 1]
         total = total + w * c * mono
     return total
+
+
+def _exact_value(form, x: Sequence[Union[int, Fraction]]) -> Fraction:
+    """f(x) = sum_m k_m n^e_m / (D * L**4) for the integer vector n = L*x,
+    L the lcm of x's denominators."""
+    D, rows = form
+    L = math.lcm(*(v.denominator for v in x))
+    powers = []
+    for v in x:
+        n = v.numerator * (L // v.denominator)
+        n2 = n * n
+        powers.append((1, n, n2, n2 * n, n2 * n2))
+    total = 0
+    if len(powers) == 2:
+        p, q = powers
+        for k, a, b in rows:
+            total += k * p[a] * q[b]
+    else:
+        p, q, r = powers
+        for k, a, b, c in rows:
+            total += k * p[a] * q[b] * r[c]
+    return Fraction(total, D * L**4)
 
 
 def gradient(T: Quartic, x: Sequence[Scalar]) -> Vector:
@@ -234,7 +308,7 @@ def tensor_from_json(text: str) -> Quartic:
     """Parse the JSON tensor format.  Raises ParseError on any deviation."""
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -263,7 +337,7 @@ def tensor_from_json(text: str) -> Quartic:
         if not isinstance(value, (int, Fraction, str)) or isinstance(value, bool):
             raise ParseError(f"entry {key!r} has a non-numeric value {value!r}")
         try:
-            parsed[digits] = parse_scalar(value)
+            parsed[digits] = _check_digits(parse_scalar(value))
         except TensorError as exc:
             raise ParseError(f"entry {key!r}: {exc}") from exc
     return build_tensor(dim, parsed)
@@ -274,13 +348,27 @@ def load_tensor(path) -> Quartic:
         return tensor_from_json(fh.read())
 
 
+def _check_digits(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """value, unless its numerator or denominator has more decimal digits than
+    the interpreter converts to a string (``sys.get_int_max_str_digits()``)."""
+    # Interpreters older than 3.10.7 have no such limit and no such function.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n in value.as_integer_ratio():
+        n = abs(n)
+        # 2**(3*limit) < 10**limit settles most n without building 10**limit.
+        if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+            raise TooManyDigits(f"number has more than {limit} digits, "
+                                "the interpreter's limit for printing an integer")
+    return value
+
+
 def format_scalar(value: Scalar):
     """JSON-friendly rendering: exact rationals as "p/q" strings (plain ints
-    when the denominator is 1), floats as numbers."""
-    if isinstance(value, Fraction):
+    when the denominator is 1), floats as numbers.  Raises TooManyDigits for
+    a rational the interpreter cannot print."""
+    if isinstance(value, (int, Fraction)):
+        _check_digits(value)
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return value
     return float(value)

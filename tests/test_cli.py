@@ -179,3 +179,83 @@ def test_invalid_oracle_flags_exit_cleanly(binary_indef, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# A coefficient beyond the interpreter's int-to-str limit (4,300 digits by
+# default), and a witness value just beyond it although every coefficient is
+# within it.
+HUGE_FILES = {
+    "binary_huge": '{"dim": 2, "order": 4, "entries": {"1111": 1e5000, "2222": 1}}',
+    "ternary_huge": '{"dim": 3, "order": 4, "entries": {"1111": 1e5000, "2222": 1, "3333": 1}}',
+    "tiny": '{"dim": 2, "order": 4, "entries": {"1111": "1e-5000", "2222": 1}}',
+    "long_literal": '{"dim": 2, "order": 4, "entries": {"1111": %s, "2222": 1}}' % ("7" * 5000),
+    "witness_value": '{"dim": 2, "order": 4, "entries": '
+                     '{"1111": "9e4299", "1122": "-9e4299", "2222": "9e4299"}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_FILES))
+@pytest.mark.parametrize("flags", [[], ["--no-oracle"]])
+def test_coefficients_beyond_digit_limit_exit_cleanly(tmp_path, capsys, name, flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(HUGE_FILES[name])
+    assert main([str(path)] + flags + FAST) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# checked_points, min_residual, equality_points and oracle_exact of every
+# variant of `qpd --mode inequalities --samples 200 --seed 3`, recorded with
+# the Fraction-loop evaluator.
+GOLDEN_INEQUALITIES = [
+    ('C32_i', 220, 0, 4,
+     '47203947824044701004977042714816487450096151018497/6829543450082832165535144766165953637455086573223968545388758040576'),
+    ('C32_i+swap12+swap13+swap23', 220, 0, 4,
+     '10423499126644707370857105234005801365527182246084101/601948989984688714722144634010969628033457411571098007340005750390625'),
+    ('C32_ii', 217, '16105560601/144149438750625', 0,
+     '2074079643270778344437028889675754596201272182968635817130175841/6222238929635491173038412872604235162932727963505812747100160000'),
+    ('C32_ii+swap12+swap13+swap23', 217, '4966943881/144149438750625', 0,
+     '5381788001359355632607714665769872047236632690556821177072402963001/16145364003959439075167914386908145548020896751176776129243902169616'),
+    ('C33_i', 217, '17402232901/144149438750625', 0,
+     '380162117403919958102243210381703720319469756929589686464997/2149090421077153266154824882921130701970733485214838731970576'),
+    ('C33_i+swap12', 217, '17402232901/144149438750625', 0,
+     '4607815449019106600313679920025474813170844236817527808258519624307473/26346054077907299433887682447423157998484084916684535633354737385032976'),
+    ('C33_i+swap13', 217, '17402232901/144149438750625', 0,
+     '49207566971168460590016451651178938022116311588600685984128734964001/281353546990775211099205249995734155367116907022484831980214912183056'),
+    ('C33_i+swap23', 217, '6263616181/144149438750625', 0,
+     '14452451037370996017750591587403189874350407323454798579283944881/82634615210231792461782463729876324641698500429147233010813833216'),
+    ('C33_ii', 217, '17834457001/144149438750625', 0,
+     '456733818664199680561734237405090523285529841742152589778211285937/8254939341581364601352472407654256028954094949705881454557770285056'),
+    ('C33_ii+swap12', 217, '17834457001/144149438750625', 0,
+     '7865833888061983187712708507923675454561205229646090681970902754336/12645997888741284587484163961305724460825776993123698479941155850625'),
+    ('C33_ii+swap13', 217, '17834457001/144149438750625', 0,
+     '4422633784502666992870420420840794559836544960958548570836763962227833/79934027499304162903754121760815628506592488407688222992290971040666896'),
+    ('C33_ii+swap23', 217, '6695840281/144149438750625', 0,
+     '78381844317386361376854316298713859781275046374340349295418769137745/1416661836457147434385996485916030269815343382786073087399358676437681'),
+    ('C33_iii', 217, '17834457001/144149438750625', 0,
+     '40106324810881342164347720248549592191392950308064609875304290736665/64479431690768227309284354019897171381215068029607825495629248758016'),
+    ('C33_iii+swap12', 217, '17834457001/144149438750625', 0,
+     '2006390349748771571985169912127469994443036424678658187118340162290/36263201794788210500437583394375036456346331762169011072379890873841'),
+    ('C33_iii+swap13', 217, '17834457001/144149438750625', 0,
+     '78381844317386361376854316298713859781275046374340349295418769137745/1416661836457147434385996485916030269815343382786073087399358676437681'),
+    ('C33_iii+swap23', 217, '6695840281/144149438750625', 0,
+     '8665270037469020293188437369996928170884662021479413503039044084161/156614806292722918718820322519220198774242862321567530139025296010000'),
+    ('C33_iv', 217, '17402232901/144149438750625', 0,
+     '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
+    ('C33_iv+swap12', 217, '17402232901/144149438750625', 0,
+     '1564025779920962148015630710193065996271998564467215502316560393/8841577495618264345373350282129464087509101485077801042794400625'),
+    ('C33_iv+swap13', 217, '17402232901/144149438750625', 0,
+     '460184252725198553767072384611257629655267601965766433180411982881/2631190277074538786354605236933787468406625592833928403520140414976'),
+    ('C33_iv+swap23', 217, '6263616181/144149438750625', 0,
+     '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
+]
+
+
+def test_inequalities_report_golden(capsys):
+    code, report = run_json(capsys, ["--mode", "inequalities", "--samples", "200",
+                                     "--seed", "3"])
+    assert code == 0
+    got = [(row["inequality"], row["checked_points"], row["min_residual"],
+            row["equality_points"], row["oracle_exact"]) for row in report["results"]]
+    assert got == GOLDEN_INEQUALITIES

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpd.tensors import (
+    EXPONENTS,
+    MULTIPLICITIES,
     BadArity,
     BadIndex,
     BinaryQuartic,
@@ -199,3 +201,85 @@ def test_exact_float_agreement(entries, x):
     magnitude = sum(abs(w * c * math.prod(x[i - 1] for i in midx))
                     for midx, w, c in T.terms())
     assert abs(float(exact) - approx) <= 64 * 2**-53 * (1 + float(magnitude))
+
+
+def test_term_tables():
+    for dim in (2, 3):
+        idx = multi_indices(dim)
+        assert MULTIPLICITIES[dim] == tuple(multiplicity(m) for m in idx)
+        assert EXPONENTS[dim] == tuple(tuple(m.count(j) for j in range(1, dim + 1)) for m in idx)
+        assert sum(MULTIPLICITIES[dim]) == dim**4
+
+
+def fraction_loop(T, x):
+    """Exact evaluation as a sum of Fraction products, one term at a time."""
+    total = 0
+    for midx, c in zip(multi_indices(T.dim), T.coeffs):
+        if c == 0:
+            continue
+        mono = 1
+        for i in midx:
+            mono = mono * x[i - 1]
+        total = total + multiplicity(midx) * c * mono
+    return total
+
+
+NEAR_1E40 = st.integers(10**40 - 10**6, 10**40 + 10**6)
+exact_scalars = st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.builds(lambda n, d, sign: F(sign * n, d), NEAR_1E40, NEAR_1E40, st.sampled_from((1, -1))),
+    st.builds(lambda n, sign: sign * n, NEAR_1E40, st.sampled_from((1, -1))),
+)
+coefficients = st.one_of(st.just(F(0)), st.integers(-50, 50), rationals, exact_scalars)
+
+
+@st.composite
+def quartic_and_point(draw, dim):
+    coeffs = draw(st.lists(coefficients, min_size=len(multi_indices(dim)),
+                           max_size=len(multi_indices(dim))))
+    T = BinaryQuartic(*coeffs) if dim == 2 else TernaryQuartic(tuple(coeffs))
+    x = draw(st.one_of(st.just([0] * dim), st.lists(exact_scalars, min_size=dim, max_size=dim)))
+    return T, x
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@given(data=st.data())
+@settings(max_examples=300)
+def test_integer_evaluation_matches_fraction_loop(dim, data):
+    T, x = data.draw(quartic_and_point(dim))
+    assert evaluate(T, x) == fraction_loop(T, x)
+
+
+def test_integer_form_lives_on_the_tensor():
+    T = BinaryQuartic(F(1, 2), F(-1, 3), 0, F(5, 4), 7)
+    D, rows = T.integer_form
+    assert T.integer_form is T.integer_form
+    assert D == 12
+    # k_m = multiplicity * c_m * D for the four nonzero coefficients.
+    assert rows == ((6, 4, 0), (-16, 3, 1), (60, 1, 3), (84, 0, 4))
+    assert T == BinaryQuartic(F(1, 2), F(-1, 3), 0, F(5, 4), 7)
+    assert BinaryQuartic(1.5, 0, 0, 0, 1).integer_form is None
+
+
+# float.hex of float-path results recorded with the Fraction-loop evaluator:
+# any float input keeps the term loop and its multiplication order.
+FLOAT_PINS = [
+    (BinaryQuartic(1.5, -0.25, 0.1, 2.0, 3.0), (0.3, -1.7), "0x1.af55b035bd50fp+3"),
+    (TernaryQuartic(tuple(0.1 * k - 0.7 for k in range(15))), (0.6, -0.8, 1 / 3),
+     "0x1.02e85c0898cf0p-9"),
+    (SignClassTensor(-1, 1, -1, -1, -1, -1, F(11, 6)).to_quartic(), (1 / math.sqrt(3),) * 3,
+     "0x1.4000000000000p-54"),
+    (BinaryQuartic(0.1, 0.2, -0.3, 0.4, 0.5), (F(1, 3), F(-2, 7)), "-0x1.0b973bfb40fd2p-5"),
+    (TernaryQuartic(tuple(F(k - 7, k + 1) for k in range(15))), (F(1, 3), 0.25, -2),
+     "0x1.52fb40ea5c394p+1"),
+]
+
+
+@pytest.mark.parametrize("T, x, expected", FLOAT_PINS)
+def test_float_evaluation_is_unchanged(T, x, expected):
+    value = evaluate(T, x)
+    assert isinstance(value, float)
+    assert value.hex() == expected
