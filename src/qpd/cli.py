@@ -52,6 +52,7 @@ def _numeric_json(result: OracleResult | None):
         "argmin": list(result.argmin),
         "verdict": result.verdict.value,
         "confirmed_exact": _scalar_json(result.confirmed_exact),
+        "iterations": result.iterations,
     }
 
 

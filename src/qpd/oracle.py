@@ -5,7 +5,9 @@ By homogeneity the sign of the sphere minimum decides everything: min > 0
 means PD, min = 0 at a nonzero point means PSD on the boundary, min < 0
 refutes PSD.  The method is a dense angular seed grid (a hemisphere, since
 the form is even) followed by multi-start projected gradient descent with
-backtracking, all in float64 via numpy.
+backtracking, all in float64 via numpy.  A start stops once its value has
+not strictly decreased for ``_STALL`` iterations, and refinement ends when
+every start has stopped; ``refine_iters`` is only a ceiling.
 
 The seed grid and its monomial matrix depend only on the dimension and the
 grid resolution, so they are built once per ``(dim, grid_resolution)`` and
@@ -37,6 +39,10 @@ class NonFiniteValue(Exception):
 
 
 _OVERFLOW = "tensor coefficients overflow float64 evaluation"
+
+# A refinement start freezes after this many iterations without a strict
+# decrease of its value.
+_STALL = 10
 
 
 class NumericVerdict(enum.Enum):
@@ -73,6 +79,8 @@ class OracleResult:
     confirmed_exact: Optional[Fraction] = None
     # The rational point whose exact value is confirmed_exact.
     witness: Optional[Vector] = None
+    # Refinement iterations run before every start froze (at most refine_iters).
+    iterations: int = 0
 
 
 def _exponents(dim: int) -> np.ndarray:
@@ -128,11 +136,6 @@ def _gradient(P: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
     return G
 
 
-def _eval_batch(X: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """f at each row of X."""
-    return _values(_powers(X), C, E)
-
-
 def _grad_tables(C: np.ndarray, E: np.ndarray):
     """Per-coordinate exponent table Ek[k] (E with column k lowered by one,
     floored at 0) and weights W[k] = C * E[:, k], so that
@@ -142,11 +145,6 @@ def _grad_tables(C: np.ndarray, E: np.ndarray):
     for k in range(dim):
         Ek[k, :, k] = np.maximum(Ek[k, :, k] - 1, 0)
     return Ek, E.T * C
-
-
-def _grad_batch(X: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The gradient at each row of X."""
-    return _gradient(_powers(X), Ek, W)
 
 
 def _seed_grid(dim: int, n: int) -> np.ndarray:
@@ -187,20 +185,26 @@ def _lowest(values: np.ndarray, k: int) -> np.ndarray:
 def _refine(X, C, E, iters, tol):
     """Batch projected gradient descent with backtracking line search.
 
-    Accepted steps never increase the objective; points stop once their
-    tangential gradient norm drops below tol.
+    Accepted steps never increase the objective.  A start freezes once its
+    tangential gradient norm drops below tol or once its value has not
+    strictly decreased for ``_STALL`` iterations; the loop ends when every
+    start is frozen, or after iters iterations.  Returns the points, their
+    values and the number of iterations run.
     """
     P = _powers(X)  # carried along with X, so each iteration builds one table
     f = _values(P, C, E)
     Ek, W = _grad_tables(C, E)
     step = np.full(len(X), 0.1)
-    for _ in range(iters):
+    stall = np.zeros(len(X), dtype=int)
+    iterations = 0
+    while iterations < iters:
         G = _gradient(P, Ek, W)
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gnorm = np.linalg.norm(Gt, axis=1)
-        active = gnorm > tol
+        active = (gnorm > tol) & (stall < _STALL)
         if not active.any():
             break
+        iterations += 1
         for _bt in range(60):
             cand = X - (step * active)[:, None] * Gt
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -213,14 +217,21 @@ def _refine(X, C, E, iters, tol):
             active = active & (step > 1e-18)
         X = np.where(ok[:, None], cand, X)
         P = np.where(ok[:, None, None], Pc, P)
+        stall = np.where(ok & (fc < f), 0, stall + 1)
         f = np.where(ok, fc, f)
         step = np.where(ok, step * 1.5, step / 2)
         step = np.clip(step, 1e-18, 1e3)
-    return X, f
+    return X, f, iterations
 
 
+@functools.lru_cache(maxsize=1)
 def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResult:
-    """Approximate global minimum of the form on the unit sphere."""
+    """Approximate global minimum of the form on the unit sphere.
+
+    The last result is kept, so a caller that asks again about the same tensor
+    and config (the binary classifier's witness search, then the CLI's
+    cross-check) reuses it instead of searching twice.
+    """
     C, E = _float_terms(T)
     seeds, M = _seed_table(T.dim, cfg.grid_resolution)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +239,7 @@ def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResul
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(_OVERFLOW)
     order = _lowest(values, cfg.starts)
-    X, f = _refine(seeds[order], C, E, cfg.refine_iters, cfg.refine_tol)
+    X, f, iterations = _refine(seeds[order], C, E, cfg.refine_iters, cfg.refine_tol)
     best = int(np.argmin(f))
     argmin = X[best] / np.linalg.norm(X[best])
     min_value = float(f[best])
@@ -249,7 +260,7 @@ def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResul
         else:
             witness, confirmed = confirmation
     return OracleResult(
-        min_value, tuple(float(v) for v in argmin), verdict, confirmed, witness
+        min_value, tuple(float(v) for v in argmin), verdict, confirmed, witness, iterations
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
         return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise TensorError(f"cannot parse scalar {value!r}") from exc
     if isinstance(value, int):
@@ -80,6 +81,37 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
     if isinstance(value, float):
         return value
     raise TensorError(f"cannot parse scalar {value!r}")
+
+
+def _digit_limit() -> int:
+    """The most decimal digits the interpreter converts between an int and a
+    string (``sys.get_int_max_str_digits()``); 0 means no limit, as on
+    interpreters older than 3.10.7, which have no such function."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_many_digits(limit: int) -> TooManyDigits:
+    return TooManyDigits(f"number has more than {limit} digits, "
+                         "the interpreter's limit for printing an integer")
+
+
+def _decimal(text: str) -> Fraction:
+    """``Fraction(text)``, but a decimal exponent too large for the digit limit
+    is refused before its power of ten is built.
+
+    The value is M * 10**(e - k) for a mantissa M of at most len(mantissa)
+    digits and k < len(mantissa) fraction digits, so once |e| exceeds
+    limit + len(mantissa) a nonzero value has a numerator or a reduced
+    denominator beyond the limit.
+    """
+    mantissa, e, exponent = text.strip().lower().rpartition("e")
+    limit = _digit_limit()
+    if (e and limit and re.fullmatch(r"[-+]?[0-9]+", exponent)
+            and abs(int(exponent)) > limit + len(mantissa)):
+        if Fraction(mantissa) != 0:
+            raise _too_many_digits(limit)
+        return Fraction(0)
+    return Fraction(text)
 
 
 def multiplicity(midx: MultiIndex) -> int:
@@ -307,9 +339,11 @@ _TOP_KEYS = {"dim", "order", "entries"}
 def tensor_from_json(text: str) -> Quartic:
     """Parse the JSON tensor format.  Raises ParseError on any deviation."""
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=_decimal)
     except ValueError as exc:  # also an integer literal beyond the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except TooManyDigits as exc:
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -350,15 +384,13 @@ def load_tensor(path) -> Quartic:
 
 def _check_digits(value: Union[int, Fraction]) -> Union[int, Fraction]:
     """value, unless its numerator or denominator has more decimal digits than
-    the interpreter converts to a string (``sys.get_int_max_str_digits()``)."""
-    # Interpreters older than 3.10.7 have no such limit and no such function.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    the interpreter converts to a string (``_digit_limit()``)."""
+    limit = _digit_limit()
     for n in value.as_integer_ratio():
         n = abs(n)
         # 2**(3*limit) < 10**limit settles most n without building 10**limit.
         if limit and n.bit_length() > 3 * limit and n >= 10**limit:
-            raise TooManyDigits(f"number has more than {limit} digits, "
-                                "the interpreter's limit for printing an integer")
+            raise _too_many_digits(limit)
     return value
 
 

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from qpd import oracle
 from qpd.cli import main
 
 
@@ -205,9 +207,40 @@ def test_coefficients_beyond_digit_limit_exit_cleanly(tmp_path, capsys, name, fl
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1e10000000", '"1e10000000"', '"-3.5e-10000000"'])
+def test_huge_decimal_exponent_exits_fast(tmp_path, capsys, value):
+    """The exponent is refused before its power of ten, ten million digits
+    long, is built."""
+    path = tmp_path / "exponent.json"
+    path.write_text('{"dim": 2, "order": 4, "entries": {"1111": %s, "2222": 1}}' % value)
+    start = time.perf_counter()
+    assert main([str(path)] + FAST) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_degenerate_binary_searches_once(tmp_path, capsys, monkeypatch):
+    """The classifier's witness search and the cross-check share one oracle
+    search, and the report gives the refinement iterations it ran."""
+    refine = oracle._refine
+    calls = []
+    monkeypatch.setattr(oracle, "_refine", lambda *args: calls.append(1) or refine(*args))
+    oracle.min_on_sphere.cache_clear()
+    path = write_tensor(tmp_path, "degenerate.json", 2, {
+        "1111": 0, "1112": "-3/4", "1122": "11/3", "1222": 2, "2222": 4})
+    code, report = run_json(capsys, [path])
+    assert code == 0 and report["agreement"] == "agree"
+    assert report["analytic"]["branch"] == "degenerate-diagonal"
+    assert report["analytic"]["witness"] == report["witness_exact"]["point"]
+    assert len(calls) == 1
+    assert 0 < report["numeric"]["iterations"] < oracle.OracleConfig().refine_iters
+
+
 # checked_points, min_residual, equality_points and oracle_exact of every
-# variant of `qpd --mode inequalities --samples 200 --seed 3`, recorded with
-# the Fraction-loop evaluator.
+# variant of `qpd --mode inequalities --samples 200 --seed 3`.  oracle_exact is
+# the exact value at the rationalized argmin, so it moves with the argmin.
 GOLDEN_INEQUALITIES = [
     ('C32_i', 220, 0, 4,
      '47203947824044701004977042714816487450096151018497/6829543450082832165535144766165953637455086573223968545388758040576'),
@@ -218,9 +251,9 @@ GOLDEN_INEQUALITIES = [
     ('C32_ii+swap12+swap13+swap23', 217, '4966943881/144149438750625', 0,
      '5381788001359355632607714665769872047236632690556821177072402963001/16145364003959439075167914386908145548020896751176776129243902169616'),
     ('C33_i', 217, '17402232901/144149438750625', 0,
-     '380162117403919958102243210381703720319469756929589686464997/2149090421077153266154824882921130701970733485214838731970576'),
+     '648894536356570055818094741596153182719000126411753851276474261693057/3668258799425771631492077671561726915213463584914812695497212610908416'),
     ('C33_i+swap12', 217, '17402232901/144149438750625', 0,
-     '4607815449019106600313679920025474813170844236817527808258519624307473/26346054077907299433887682447423157998484084916684535633354737385032976'),
+     '186394093690234881924341540386881443648057523215612757673/1065743393272747691673942672514202083038816580702083645696'),
     ('C33_i+swap13', 217, '17402232901/144149438750625', 0,
      '49207566971168460590016451651178938022116311588600685984128734964001/281353546990775211099205249995734155367116907022484831980214912183056'),
     ('C33_i+swap23', 217, '6263616181/144149438750625', 0,
@@ -228,27 +261,27 @@ GOLDEN_INEQUALITIES = [
     ('C33_ii', 217, '17834457001/144149438750625', 0,
      '456733818664199680561734237405090523285529841742152589778211285937/8254939341581364601352472407654256028954094949705881454557770285056'),
     ('C33_ii+swap12', 217, '17834457001/144149438750625', 0,
-     '7865833888061983187712708507923675454561205229646090681970902754336/12645997888741284587484163961305724460825776993123698479941155850625'),
+     '78546256939322364100987334697386724869916345890746912069606380039057/126279783371370023935448422824178604485039507137275776953271971352576'),
     ('C33_ii+swap13', 217, '17834457001/144149438750625', 0,
      '4422633784502666992870420420840794559836544960958548570836763962227833/79934027499304162903754121760815628506592488407688222992290971040666896'),
     ('C33_ii+swap23', 217, '6695840281/144149438750625', 0,
      '78381844317386361376854316298713859781275046374340349295418769137745/1416661836457147434385996485916030269815343382786073087399358676437681'),
     ('C33_iii', 217, '17834457001/144149438750625', 0,
-     '40106324810881342164347720248549592191392950308064609875304290736665/64479431690768227309284354019897171381215068029607825495629248758016'),
+     '7865833888061983187712708507923675454561205229646090681970902754336/12645997888741284587484163961305724460825776993123698479941155850625'),
     ('C33_iii+swap12', 217, '17834457001/144149438750625', 0,
      '2006390349748771571985169912127469994443036424678658187118340162290/36263201794788210500437583394375036456346331762169011072379890873841'),
     ('C33_iii+swap13', 217, '17834457001/144149438750625', 0,
-     '78381844317386361376854316298713859781275046374340349295418769137745/1416661836457147434385996485916030269815343382786073087399358676437681'),
+     '1760748384820238909284492937609934695510751301578985968880104986380201/31823505329596189775768069463042435667115139904582718088713384397200625'),
     ('C33_iii+swap23', 217, '6695840281/144149438750625', 0,
-     '8665270037469020293188437369996928170884662021479413503039044084161/156614806292722918718820322519220198774242862321567530139025296010000'),
+     '34077817843443826326816411486900758548285264361250951667579022065/615917428681324350789574141752570807044851980194715217971562699536'),
     ('C33_iv', 217, '17402232901/144149438750625', 0,
      '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
     ('C33_iv+swap12', 217, '17402232901/144149438750625', 0,
-     '1564025779920962148015630710193065996271998564467215502316560393/8841577495618264345373350282129464087509101485077801042794400625'),
+     '940677389851245331578113944174977357402304126351621744151564410304881/5317733344063064705668875106019804336090690859422868891973437171360000'),
     ('C33_iv+swap13', 217, '17402232901/144149438750625', 0,
      '460184252725198553767072384611257629655267601965766433180411982881/2631190277074538786354605236933787468406625592833928403520140414976'),
     ('C33_iv+swap23', 217, '6263616181/144149438750625', 0,
-     '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
+     '364687482176570256541448400556816060208433081857307947451021377267905/2085169476363339406839160166739940393197914722409575082843068505849856'),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -54,3 +55,26 @@ def test_format_scalar():
     assert format_scalar(F(-72, 625)) == "-72/625"
     assert format_scalar(F(4, 2)) == 2
     assert format_scalar(0.5) == 0.5
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("literal, quoted", [
+    (f"1e{LIMIT - 1}", False), (f"1e{LIMIT - 1}", True),
+    (f"-2.5e{LIMIT - 2}", False), (f"1e-{LIMIT - 1}", True),
+    ("0e10000000", False), ("0.0e10000000", False), ("-0e-10000000", True),
+])
+def test_decimal_exponents_within_the_digit_limit(literal, quoted):
+    """The early exponent check refuses nothing that has at most LIMIT digits;
+    a zero mantissa is zero whatever its exponent."""
+    value = f'"{literal}"' if quoted else literal
+    T = tensor_from_json('{"dim": 2, "order": 4, "entries": {"1111": %s}}' % value)
+    assert T.t1111 == (0 if "0e" in literal else F(literal))
+
+
+@pytest.mark.parametrize("literal", [f"1e{LIMIT}", f"1e-{LIMIT + 5}", f"-7.25e{LIMIT + 9}"])
+def test_decimal_exponents_beyond_the_digit_limit(literal):
+    for value in (literal, f'"{literal}"'):
+        with pytest.raises(ParseError, match="digits"):
+            tensor_from_json('{"dim": 2, "order": 4, "entries": {"1111": %s}}' % value)

@@ -1,34 +1,47 @@
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
+from qpd import oracle
 from qpd.binary import classify_binary
 from qpd.oracle import (
     NonFiniteValue,
     NumericVerdict,
     OracleConfig,
-    _eval_batch,
     _exponents,
     _float_terms,
-    _grad_batch,
     _grad_tables,
+    _gradient,
     _lowest,
     _monomials,
     _powers,
+    _refine,
     _seed_grid,
     _seed_table,
+    _values,
     min_on_sphere,
     negative_witness,
     rationalize_and_confirm,
     verify_verdict,
 )
 from qpd.tensors import BinaryQuartic, build_tensor, evaluate, gradient, multi_indices
-from qpd.ternary import SignClassTensor
+from qpd.ternary import STUDIED_LEVELS, SignClassTensor
 from qpd.verdicts import Classification
 
 CFG = OracleConfig(grid_resolution=64, starts=8)
+
+
+def _eval_batch(X, C, E):
+    """f at each row of X, as the oracle evaluates it."""
+    return _values(_powers(X), C, E)
+
+
+def _grad_batch(X, Ek, W):
+    """The gradient at each row of X, as the oracle evaluates it."""
+    return _gradient(_powers(X), Ek, W)
 
 
 def case1_tensor():
@@ -74,6 +87,18 @@ class TestMinOnSphere:
         a = min_on_sphere(case1_tensor(), CFG)
         b = min_on_sphere(case1_tensor(), CFG)
         assert a.min_value == b.min_value and a.argmin == b.argmin
+
+    def test_determinism_of_the_search(self):
+        a = min_on_sphere.__wrapped__(case1_tensor(), CFG)
+        b = min_on_sphere.__wrapped__(case1_tensor(), CFG)
+        assert a == b
+
+    def test_last_result_is_reused(self):
+        first = min_on_sphere(case1_tensor(), CFG)
+        assert min_on_sphere(case1_tensor(), CFG) is first  # an equal, new tensor
+        min_on_sphere(case1_tensor(), OracleConfig(grid_resolution=32, starts=8))
+        again = min_on_sphere(case1_tensor(), CFG)
+        assert again is not first and again == first
 
     def test_overflow(self):
         with pytest.raises(NonFiniteValue):
@@ -222,14 +247,14 @@ class TestSeedSelection:
 GOLDEN = {
     "binary-degenerate": (
         BinaryQuartic(0, F(-3, 4), F(11, 3), 2, 4),
-        "-0x1.9546cfd97906dp-4", ("-0x1.feea7f6e10f7dp-1", "-0x1.0a64ac7f623d1p-4"),
+        "-0x1.9546cfd97906cp-4", ("-0x1.feea7f6e27815p-1", "-0x1.0a64ac7493e8ap-4"),
         F(-15, 1024), (F(-1), F(-1, 8)),
     ),
     "sign-class-11/6": (
         SignClassTensor(1, -1, 1, 1, 1, 1, F(11, 6)).to_quartic(),
-        "-0x1.55c34b5ad2244p-3",
-        ("0x1.09f4f2b1b3f00p-2", "0x1.e0593740cf54cp-1", "-0x1.d4a211e5a08f5p-3"),
-        F(-51, 256), (F(1, 4), F(1), F(-1, 4)),
+        "-0x1.55c34b5ad2240p-3",
+        ("-0x1.d4a211e8b3cb6p-3", "0x1.09f4f2b0c2da1p-2", "0x1.e0593740c0b32p-1"),
+        F(-51, 256), (F(-1, 4), F(1, 4), F(1)),
     ),
     "sign-class-23/12": (
         SignClassTensor(-1, 1, -1, 1, 1, 1, F(23, 12)).to_quartic(),
@@ -255,6 +280,32 @@ def test_golden_default_results(name):
     assert r.verdict is NumericVerdict.NOT_PSD
     assert r.confirmed_exact == confirmed
     assert r.witness == witness
+
+
+SIGN_CLASS = [SignClassTensor(*s, *c, b).to_quartic()
+              for b in STUDIED_LEVELS
+              for s in product((1, -1), repeat=3)
+              for c in product((1, -1), repeat=3)]
+
+
+def test_refinement_stops_before_the_cap():
+    cfg = OracleConfig()
+    for T in SIGN_CLASS:
+        assert 0 < min_on_sphere(T, cfg).iterations < cfg.refine_iters
+
+
+@pytest.mark.parametrize("T", SIGN_CLASS[::16] + list(DIM_TENSORS.values()))
+def test_frozen_starts_have_converged(T, monkeypatch):
+    """Refining the frozen points again for the full iteration budget, with
+    the stop rule off, lowers no start by more than 1e-12."""
+    cfg = OracleConfig()
+    C, E = _float_terms(T)
+    seeds, M = _seed_table(T.dim, cfg.grid_resolution)
+    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)], C, E, cfg.refine_iters, cfg.refine_tol)
+    monkeypatch.setattr(oracle, "_STALL", cfg.refine_iters + 1)
+    _, f_full, iterations = _refine(X, C, E, cfg.refine_iters, cfg.refine_tol)
+    assert iterations == cfg.refine_iters
+    assert np.all(f_full >= f - 1e-12)
 
 
 class TestRationalize:
