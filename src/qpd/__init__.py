@@ -10,11 +10,10 @@ from .tensors import (
     TernaryQuartic,
     build_tensor,
     evaluate,
-    gradient,
     load_tensor,
     tensor_from_json,
 )
-from .ternary import classify_ternary, rewrite_forms
+from .ternary import classify_ternary
 from .verdicts import Classification, ClassVerdict, Regime, Verdict
 
 __all__ = [
@@ -22,9 +21,7 @@ __all__ = [
     "TernaryQuartic",
     "build_tensor",
     "evaluate",
-    "gradient",
     "load_tensor",
-    "rewrite_forms",
     "tensor_from_json",
     "classify_binary",
     "classify_sign_binary",

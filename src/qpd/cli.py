@@ -17,7 +17,7 @@ from .oracle import (AgreementReport, NonFiniteValue, OracleConfig, OracleResult
                      min_on_sphere, verify_verdict)
 from .tensors import (ParseError, TensorError, TooManyDigits, evaluate, format_scalar,
                       load_tensor)
-from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary, validate_class
+from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary
 from .verdicts import Classification, ClassVerdict, Verdict
 
 
@@ -107,10 +107,9 @@ def _classify_tensor(tensor, mode):
         except NotInSignClass:
             return classify_binary(tensor), None
     try:
-        validate_class(tensor)
+        return classify_ternary(tensor), None
     except NotInClass as exc:
         return None, f"tensor outside the analytic sign class ({exc}); oracle only"
-    return classify_ternary(tensor), None
 
 
 def _run_classify(args, cfg: OracleConfig) -> int:

@@ -7,7 +7,7 @@ refutes PSD.  The method is a dense angular seed grid (a hemisphere, since
 the form is even) followed by multi-start projected gradient descent with
 backtracking, all in float64 via numpy.  A start stops once its value has
 not strictly decreased for ``_STALL`` iterations, and refinement ends when
-every start has stopped; ``refine_iters`` is only a ceiling.
+every start has stopped; ``_REFINE_ITERS`` is only a ceiling.
 
 The seed grid and its monomial matrix depend only on the dimension and the
 grid resolution, so they are built once per ``(dim, grid_resolution)`` and
@@ -40,9 +40,12 @@ class NonFiniteValue(Exception):
 
 _OVERFLOW = "tensor coefficients overflow float64 evaluation"
 
-# A refinement start freezes after this many iterations without a strict
-# decrease of its value.
+# Refinement (see _refine): a start freezes after _STALL iterations without a
+# strict decrease of its value, or once its tangential gradient norm drops
+# below _REFINE_TOL; at most _REFINE_ITERS iterations run.
 _STALL = 10
+_REFINE_TOL = 1e-12
+_REFINE_ITERS = 500
 
 
 class NumericVerdict(enum.Enum):
@@ -55,16 +58,14 @@ class NumericVerdict(enum.Enum):
 class OracleConfig:
     grid_resolution: int = 256
     starts: int = 32
-    refine_iters: int = 500
-    refine_tol: float = 1e-12
     verdict_tol: float = 1e-8
     max_denominator: int = 10**6
 
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
-        if not (self.verdict_tol > 0 and self.refine_tol > 0):  # rejects NaN too
-            raise ValueError("tolerances must be positive")
+        if not self.verdict_tol > 0:  # rejects NaN too
+            raise ValueError("verdict_tol must be positive")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.max_denominator < 1:
@@ -79,7 +80,7 @@ class OracleResult:
     confirmed_exact: Optional[Fraction] = None
     # The rational point whose exact value is confirmed_exact.
     witness: Optional[Vector] = None
-    # Refinement iterations run before every start froze (at most refine_iters).
+    # Refinement iterations run before every start froze (at most _REFINE_ITERS).
     iterations: int = 0
 
 
@@ -182,14 +183,14 @@ def _lowest(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")][:k]
 
 
-def _refine(X, C, E, iters, tol):
+def _refine(X, C, E):
     """Batch projected gradient descent with backtracking line search.
 
     Accepted steps never increase the objective.  A start freezes once its
-    tangential gradient norm drops below tol or once its value has not
-    strictly decreased for ``_STALL`` iterations; the loop ends when every
-    start is frozen, or after iters iterations.  Returns the points, their
-    values and the number of iterations run.
+    tangential gradient norm drops below ``_REFINE_TOL`` or once its value has
+    not strictly decreased for ``_STALL`` iterations; the loop ends when every
+    start is frozen, or after ``_REFINE_ITERS`` iterations.  Returns the
+    points, their values and the number of iterations run.
     """
     P = _powers(X)  # carried along with X, so each iteration builds one table
     f = _values(P, C, E)
@@ -197,11 +198,11 @@ def _refine(X, C, E, iters, tol):
     step = np.full(len(X), 0.1)
     stall = np.zeros(len(X), dtype=int)
     iterations = 0
-    while iterations < iters:
+    while iterations < _REFINE_ITERS:
         G = _gradient(P, Ek, W)
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gnorm = np.linalg.norm(Gt, axis=1)
-        active = (gnorm > tol) & (stall < _STALL)
+        active = (gnorm > _REFINE_TOL) & (stall < _STALL)
         if not active.any():
             break
         iterations += 1
@@ -239,7 +240,7 @@ def min_on_sphere(T: Quartic, cfg: OracleConfig = OracleConfig()) -> OracleResul
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(_OVERFLOW)
     order = _lowest(values, cfg.starts)
-    X, f, iterations = _refine(seeds[order], C, E, cfg.refine_iters, cfg.refine_tol)
+    X, f, iterations = _refine(seeds[order], C, E)
     best = int(np.argmin(f))
     argmin = X[best] / np.linalg.norm(X[best])
     min_value = float(f[best])

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 MultiIndex = Tuple[int, int, int, int]
@@ -133,6 +133,8 @@ EXPONENTS = {
     dim: tuple(tuple(m.count(j) for j in range(1, dim + 1)) for m in idx)
     for dim, idx in MULTI_INDICES.items()
 }
+# POSITIONS[dim][m] is the storage position of the sorted multi-index m.
+POSITIONS = {dim: {m: p for p, m in enumerate(idx)} for dim, idx in MULTI_INDICES.items()}
 
 
 def multi_indices(dim: int) -> list[MultiIndex]:
@@ -158,6 +160,10 @@ class _QuarticTerms:
 
     def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
         return zip(MULTI_INDICES[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
+
+    def coeff(self, midx) -> Scalar:
+        """The coefficient of the multi-index midx, in any index order."""
+        return self.coeffs[POSITIONS[self.dim][tuple(sorted(midx))]]
 
     @functools.cached_property
     def integer_form(self) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
@@ -192,20 +198,9 @@ class BinaryQuartic(_QuarticTerms):
 
     dim = 2
 
-    _FIELDS = {
-        (1, 1, 1, 1): "t1111",
-        (1, 1, 1, 2): "t1112",
-        (1, 1, 2, 2): "t1122",
-        (1, 2, 2, 2): "t1222",
-        (2, 2, 2, 2): "t2222",
-    }
-
     @property
     def coeffs(self) -> Tuple[Scalar, ...]:
         return (self.t1111, self.t1112, self.t1122, self.t1222, self.t2222)
-
-    def coeff(self, midx) -> Scalar:
-        return getattr(self, self._FIELDS[tuple(sorted(midx))])
 
 
 @dataclass(frozen=True)
@@ -216,8 +211,6 @@ class TernaryQuartic(_QuarticTerms):
 
     dim = 3
 
-    _POSITION = {m: p for p, m in enumerate(MULTI_INDICES[3])}
-
     def __post_init__(self):
         if len(self.coeffs) != 15:
             raise TensorError(f"expected 15 coefficients, got {len(self.coeffs)}")
@@ -227,11 +220,8 @@ class TernaryQuartic(_QuarticTerms):
         """Build from a sorted-multi-index map; missing entries default to 0."""
         coeffs = [Fraction(0)] * 15
         for key, value in entries.items():
-            coeffs[cls._POSITION[tuple(sorted(key))]] = value
+            coeffs[POSITIONS[3][tuple(sorted(key))]] = value
         return cls(tuple(coeffs))
-
-    def coeff(self, midx) -> Scalar:
-        return self.coeffs[self._POSITION[tuple(sorted(midx))]]
 
 
 Quartic = Union[BinaryQuartic, TernaryQuartic]
@@ -308,23 +298,6 @@ def _exact_value(form, x: Sequence[Union[int, Fraction]]) -> Fraction:
         for k, a, b, c in rows:
             total += k * p[a] * q[b] * r[c]
     return Fraction(total, D * L**4)
-
-
-def gradient(T: Quartic, x: Sequence[Scalar]) -> Vector:
-    """Gradient of the quartic form at x; component k is
-    4 * sum of t_{k,i2,i3,i4} x_{i2} x_{i3} x_{i4}."""
-    check_dim(T, x)
-    g: list[Scalar] = [0] * T.dim
-    for midx, w, c in T.terms():
-        if c == 0:
-            continue
-        counts = Counter(midx)
-        for i, e in counts.items():
-            mono: Scalar = e
-            for j, ej in counts.items():
-                mono = mono * x[j - 1] ** (ej - (1 if j == i else 0))
-            g[i - 1] = g[i - 1] + w * c * mono
-    return tuple(g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ The class: unit diagonal, unit-magnitude mixed entries, antisymmetric cubic
 pairing (t_ijjj * t_iiij = -1), and a single off-diagonal level
 b = t1122 = t1133 = t2233.  Classification dispatches on b; the sign-pattern
 conditions III and IV decide the boundary levels.
+
+Every NotPSD witness comes from the paper's necessity arguments: each states a
+counterexample point for a representative pattern, and a per-pattern table of
+the 24 relabelings carries it to the other patterns of its orbit.  No numeric
+search is made here.
 """
 from __future__ import annotations
 
@@ -11,10 +16,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .oracle import OracleConfig, negative_witness
-from .tensors import Scalar, TernaryQuartic, Vector, check_dim, evaluate, multi_indices
+from .tensors import Scalar, TernaryQuartic, Vector, evaluate, multi_indices
 from .verdicts import Classification, ClassVerdict, Regime
 
 
@@ -121,7 +125,7 @@ def check_condition_iv(S: SignClassTensor) -> bool:
     if S.c == (1, 1, 1):
         return True
     if S.c == (-1, -1, -1):
-        return (-S.s112 == -S.s223 == S.s113) and (S.s112 == -S.s113 == S.s223)
+        return check_condition_iii(S)
     return S.c.count(-1) == 2
 
 
@@ -148,10 +152,20 @@ def transform(T: TernaryQuartic, perm: tuple[int, int, int], signs: tuple[int, i
     return TernaryQuartic.from_map(entries)
 
 
-def _pattern_image(S: SignClassTensor, perm, sigma) -> tuple:
-    moved = transform(S.to_quartic(), perm, sigma)
-    img = validate_class(moved)
-    return img.s + img.c
+@functools.cache
+def _relabelings(pattern: tuple) -> tuple:
+    """((perm, sigma, image pattern), ...) for the sign pattern s + c, one
+    entry per element of _GROUP in its order.
+
+    The image pattern is s + c of ``transform(T, perm, sigma)``.  A relabeling
+    leaves the level b in place, so the table does not depend on it.
+    """
+    T = SignClassTensor(*pattern, Fraction(1)).to_quartic()
+    table = []
+    for perm, sigma in _GROUP:
+        image = validate_class(transform(T, perm, sigma))
+        table.append((perm, sigma, image.s + image.c))
+    return tuple(table)
 
 
 @functools.cache
@@ -163,10 +177,9 @@ def _orbit_condition(literal, pattern: tuple) -> bool:
     the c-pattern as well as the s-pattern, so the set they carve out is only
     meaningful up to this closure.  Neither condition reads the level b.
     """
-    S = SignClassTensor(*pattern, Fraction(1))
     return any(
-        literal(SignClassTensor(*_pattern_image(S, perm, sigma), S.b))
-        for perm, sigma in _GROUP
+        literal(SignClassTensor(*image, Fraction(1)))
+        for _, _, image in _relabelings(pattern)
     )
 
 
@@ -223,30 +236,25 @@ STUDIED_LEVELS = tuple(_LEVELS)
 def proof_witness(S: SignClassTensor) -> Optional[Vector]:
     """A counterexample point lifted from the necessity arguments.
 
-    Searches the 24 relabelings (permutations x sign flips) for a match with
-    a stated representative case; returns the correspondingly relabeled point,
-    or None when no representative covers this pattern.
+    Looks up the first relabeling that carries the pattern onto a stated
+    representative case and maps that case's point back; returns it when its
+    exact value is negative, and None when no representative covers this
+    pattern at this level.
     """
     row = _LEVELS.get(S.b)
-    cases = row.witness_cases if row is not None else ()
-    if not cases:
+    if row is None or not row.witness_cases:
         return None
+    cases = {_REPRESENTATIVE_S + c: point for c, point in row.witness_cases}
     T = S.to_quartic()
-    reps = {}
-    for c_pattern, point in cases:
-        rep = SignClassTensor(*_REPRESENTATIVE_S, *c_pattern, S.b).to_quartic()
-        reps[rep.coeffs] = point
-    for perm in permutations((1, 2, 3)):
-        inv = {perm[i]: i + 1 for i in range(3)}
-        for sigma in _SIGN_VECTORS:
-            moved = transform(T, perm, sigma)
-            point = reps.get(moved.coeffs)
-            if point is not None:
-                witness = tuple(
-                    sigma[inv[j] - 1] * point[inv[j] - 1] for j in (1, 2, 3)
-                )
-                if evaluate(T, witness) < 0:
-                    return witness
+    for perm, sigma, image in _relabelings(S.s + S.c):
+        point = cases.get(image)
+        if point is not None:
+            inv = {perm[i]: i + 1 for i in range(3)}
+            witness = tuple(
+                sigma[inv[j] - 1] * point[inv[j] - 1] for j in (1, 2, 3)
+            )
+            if evaluate(T, witness) < 0:
+                return witness
     return None
 
 
@@ -255,17 +263,6 @@ def _class_at_level(S: SignClassTensor, level: Fraction) -> Classification:
     if row.condition is None or row.condition(S):
         return row.holds
     return Classification.NOT_PSD
-
-
-def _negative_witness(S: SignClassTensor, at_level: Optional[Fraction] = None) -> Optional[Vector]:
-    """Exact negative point for a NotPSD pattern, from the proof-case table
-    first and the numeric oracle otherwise."""
-    probe = S if at_level is None else SignClassTensor(*S.s, *S.c, at_level)
-    w = proof_witness(probe)
-    T = S.to_quartic()
-    if w is not None and evaluate(T, w) < 0:
-        return w
-    return negative_witness(T, OracleConfig())
 
 
 def _monotone_bound(S: SignClassTensor):
@@ -278,7 +275,7 @@ def _monotone_bound(S: SignClassTensor):
     if above:
         upper = min(above)
         if _class_at_level(S, upper) is Classification.NOT_PSD:
-            w = _negative_witness(S, at_level=upper)
+            w = proof_witness(SignClassTensor(*S.s, *S.c, upper))
             if w is not None and evaluate(S.to_quartic(), w) < 0:
                 return Classification.NOT_PSD, w
             return Classification.NOT_PSD, None
@@ -315,35 +312,6 @@ def classify_ternary(T: TernaryQuartic) -> ClassVerdict:
     cls = _class_at_level(S, level)
     witness = None
     if cls is Classification.NOT_PSD:
-        witness = _negative_witness(S)
+        witness = proof_witness(S)
     return ClassVerdict(cls, _LEVELS[level].regime, cond, witness)
 
-
-# The four expansion centers used by the rewriting identities.
-_REWRITE_SIGNS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
-
-
-def rewrite_forms(T: TernaryQuartic, x: Sequence[Scalar]) -> list[Scalar]:
-    """Evaluate the four (sum-of-signed-variables)^4 rewritings of the form.
-
-    Only valid for tensors in the unit-entry class with antisymmetric cubic
-    pairing (see :func:`validate_class`); each returned value equals
-    ``evaluate(T, x)``, computed along a different algebraic route.
-    """
-    validate_class(T)  # raises NotInClass otherwise
-    check_dim(T, x)
-    x1, x2, x3 = x
-    values = []
-    for s in _REWRITE_SIGNS:
-        v = (s[0] * x1 + s[1] * x2 + s[2] * x3) ** 4
-        for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-            t = T.coeff((i, i, i, j))
-            v = v + 4 * (t - s[i - 1] * s[j - 1]) * x[i - 1] ** 3 * x[j - 1]
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            t = T.coeff((i, i, j, j))
-            v = v + 6 * (t - 1) * x[i - 1] ** 2 * x[j - 1] ** 2
-        for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-            t = T.coeff((i, i, j, k))
-            v = v + 12 * (t - s[j - 1] * s[k - 1]) * x[i - 1] ** 2 * x[j - 1] * x[k - 1]
-        values.append(v)
-    return values

@@ -12,16 +12,17 @@ from itertools import permutations, product
 from qpd.binary import classify_binary, classify_sign_binary, invariants_IJ
 from qpd.inequalities import IneqName, InequalityId, check_inequality
 from qpd.oracle import NumericVerdict, OracleConfig, min_on_sphere, verify_verdict
-from qpd.tensors import BinaryQuartic, build_tensor, evaluate, gradient
+from qpd.tensors import BinaryQuartic, build_tensor, evaluate
 from qpd.ternary import (
     SignClassTensor,
     check_condition_iii,
     classify_ternary,
     condition_iii_up_to_relabeling,
-    rewrite_forms,
     transform,
 )
 from qpd.verdicts import Classification
+
+from helpers import gradient, rewrite_forms
 
 PD = Classification.POSITIVE_DEFINITE
 PSD = Classification.PSD_NOT_PD

@@ -97,7 +97,8 @@ def test_out_of_class_ternary_downgrades(tmp_path, capsys):
     assert code == 0
     assert report["analytic"] is None
     assert report["numeric"]["verdict"] == "PD"
-    assert "sign class" in captured.err
+    assert captured.err == ("notice: tensor outside the analytic sign class "
+                            "(t1112 must be +-1, got 0); oracle only\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -235,7 +236,7 @@ def test_degenerate_binary_searches_once(tmp_path, capsys, monkeypatch):
     assert report["analytic"]["branch"] == "degenerate-diagonal"
     assert report["analytic"]["witness"] == report["witness_exact"]["point"]
     assert len(calls) == 1
-    assert 0 < report["numeric"]["iterations"] < oracle.OracleConfig().refine_iters
+    assert 0 < report["numeric"]["iterations"] < oracle._REFINE_ITERS
 
 
 # checked_points, min_residual, equality_points and oracle_exact of every

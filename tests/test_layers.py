@@ -58,6 +58,12 @@ def test_imports_point_downward(module):
     assert upward == [], f"{module} imports {upward} from its own or a higher layer"
 
 
+def test_ternary_does_not_import_the_oracle():
+    """The sign-class classifier decides from its own tables: its witnesses
+    come from the proof cases, never from a numeric search."""
+    assert "oracle" not in package_imports(PACKAGE / "ternary.py")
+
+
 def test_import_scan_sees_function_bodies(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text(

@@ -27,9 +27,11 @@ from qpd.oracle import (
     rationalize_and_confirm,
     verify_verdict,
 )
-from qpd.tensors import BinaryQuartic, build_tensor, evaluate, gradient, multi_indices
+from qpd.tensors import BinaryQuartic, build_tensor, evaluate, multi_indices
 from qpd.ternary import STUDIED_LEVELS, SignClassTensor
 from qpd.verdicts import Classification
+
+from helpers import gradient
 
 CFG = OracleConfig(grid_resolution=64, starts=8)
 
@@ -289,9 +291,8 @@ SIGN_CLASS = [SignClassTensor(*s, *c, b).to_quartic()
 
 
 def test_refinement_stops_before_the_cap():
-    cfg = OracleConfig()
     for T in SIGN_CLASS:
-        assert 0 < min_on_sphere(T, cfg).iterations < cfg.refine_iters
+        assert 0 < min_on_sphere(T, OracleConfig()).iterations < oracle._REFINE_ITERS
 
 
 @pytest.mark.parametrize("T", SIGN_CLASS[::16] + list(DIM_TENSORS.values()))
@@ -301,10 +302,10 @@ def test_frozen_starts_have_converged(T, monkeypatch):
     cfg = OracleConfig()
     C, E = _float_terms(T)
     seeds, M = _seed_table(T.dim, cfg.grid_resolution)
-    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)], C, E, cfg.refine_iters, cfg.refine_tol)
-    monkeypatch.setattr(oracle, "_STALL", cfg.refine_iters + 1)
-    _, f_full, iterations = _refine(X, C, E, cfg.refine_iters, cfg.refine_tol)
-    assert iterations == cfg.refine_iters
+    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)], C, E)
+    monkeypatch.setattr(oracle, "_STALL", oracle._REFINE_ITERS + 1)
+    _, f_full, iterations = _refine(X, C, E)
+    assert iterations == oracle._REFINE_ITERS
     assert np.all(f_full >= f - 1e-12)
 
 

@@ -16,12 +16,13 @@ from qpd.tensors import (
     TernaryQuartic,
     build_tensor,
     evaluate,
-    gradient,
     multi_indices,
     multiplicity,
     parse_scalar,
 )
-from qpd.ternary import NotInClass, SignClassTensor, rewrite_forms
+from qpd.ternary import NotInClass, SignClassTensor
+
+from helpers import gradient, rewrite_forms
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 

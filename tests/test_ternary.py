@@ -6,6 +6,9 @@ import pytest
 
 from qpd.tensors import build_tensor, evaluate
 from qpd.ternary import (
+    _LEVELS,
+    _REPRESENTATIVE_S,
+    _SIGN_VECTORS,
     NotInClass,
     SignClassTensor,
     check_condition_iii,
@@ -185,6 +188,29 @@ class TestProofWitness:
     def test_definite_pattern_has_no_witness(self):
         assert proof_witness(SignClassTensor(-1, 1, -1, -1, -1, -1, F(2))) is None
 
+    @pytest.mark.parametrize("level, below", [(F(11, 6), F(1)), (F(2), F(23, 12)),
+                                              (F(5, 2), F(9, 4))], ids=str)
+    def test_every_not_psd_pattern_has_one(self, level, below):
+        """Each NotPSD pattern at a studied level gets its witness from the
+        proof cases, and by monotonicity in b the same point serves the levels
+        below (one sampled between this level and the next lower one)."""
+        for s, c in ALL_PATTERNS:
+            S = SignClassTensor(*s, *c, level)
+            if classify_ternary(S.to_quartic()).classification is not NPSD:
+                continue
+            w = proof_witness(S)
+            assert w is not None and evaluate(S.to_quartic(), w) < 0
+            lower = tensor(s, c, below)
+            v = classify_ternary(lower)
+            assert v.monotone_bound is NPSD and v.witness == w
+            assert evaluate(lower, w) < 0
+
+    @pytest.mark.parametrize("level", [F(11, 6), F(2), F(5, 2)], ids=str)
+    def test_equals_the_search_over_relabeled_tensors(self, level):
+        for s, c in ALL_PATTERNS:
+            S = SignClassTensor(*s, *c, level)
+            assert proof_witness(S) == relabeled_tensor_search(S)
+
     def test_relabeled_patterns_get_relabeled_witnesses(self):
         base = SignClassTensor(*S_REP, -1, -1, 1, F(2))
         for perm in permutations((1, 2, 3)):
@@ -192,6 +218,24 @@ class TestProofWitness:
             w = proof_witness(moved)
             assert w is not None
             assert evaluate(moved.to_quartic(), w) < 0
+
+
+def relabeled_tensor_search(S):
+    """Reference for proof_witness: relabel the whole tensor for each of the
+    24 relabelings and match it against the representative case tensors."""
+    cases = _LEVELS[S.b].witness_cases
+    T = S.to_quartic()
+    reps = {SignClassTensor(*_REPRESENTATIVE_S, *c, S.b).to_quartic().coeffs: point
+            for c, point in cases}
+    for perm in permutations((1, 2, 3)):
+        inv = {perm[i]: i + 1 for i in range(3)}
+        for sigma in _SIGN_VECTORS:
+            point = reps.get(transform(T, perm, sigma).coeffs)
+            if point is not None:
+                witness = tuple(sigma[inv[j] - 1] * point[inv[j] - 1] for j in (1, 2, 3))
+                if evaluate(T, witness) < 0:
+                    return witness
+    return None
 
 
 def test_monotonicity_identity_in_level():
