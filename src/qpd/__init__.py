@@ -14,7 +14,7 @@ from .tensors import (
     tensor_from_json,
 )
 from .ternary import classify_ternary
-from .verdicts import Classification, ClassVerdict, Regime, Verdict
+from .verdicts import Classification, ClassVerdict, Verdict
 
 __all__ = [
     "BinaryQuartic",
@@ -31,7 +31,6 @@ __all__ = [
     "verify_verdict",
     "Classification",
     "ClassVerdict",
-    "Regime",
     "Verdict",
 ]
 

@@ -8,7 +8,6 @@ sign-aware squaring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .oracle import OracleConfig, negative_witness
 from .tensors import BinaryQuartic, Scalar, Vector, evaluate

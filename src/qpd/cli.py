@@ -13,12 +13,11 @@ from itertools import product
 
 from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
-from .oracle import (AgreementReport, NonFiniteValue, OracleConfig, OracleResult,
-                     min_on_sphere, verify_verdict)
+from .oracle import NonFiniteValue, OracleConfig, OracleResult, min_on_sphere, verify_verdict
 from .tensors import (ParseError, TensorError, TooManyDigits, evaluate, format_scalar,
                       load_tensor)
 from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary
-from .verdicts import Classification, ClassVerdict, Verdict
+from .verdicts import Verdict
 
 
 def _scalar_json(value):
@@ -36,7 +35,7 @@ def _analytic_json(verdict):
     if isinstance(verdict, Verdict):
         out["branch"] = verdict.branch
     else:
-        out["regime"] = verdict.regime.value
+        out["regime"] = verdict.regime
         out["condition_holds"] = dict(verdict.condition_holds)
         if verdict.monotone_bound is not None:
             out["monotone_bound"] = verdict.monotone_bound.value
@@ -86,15 +85,6 @@ def _render_text(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(
-        grid_resolution=args.grid,
-        starts=args.starts,
-        verdict_tol=args.tol,
-        max_denominator=args.max_denominator,
-    )
-
-
 def _classify_tensor(tensor, mode):
     """Analytic verdict for the requested mode, or None for oracle-only.
 
@@ -135,7 +125,7 @@ def _run_classify(args, cfg: OracleConfig) -> int:
         if analytic is None:
             numeric = min_on_sphere(tensor, cfg)
         elif not args.no_oracle:
-            check: AgreementReport = verify_verdict(tensor, analytic, cfg)
+            check = verify_verdict(tensor, analytic, cfg)
             numeric = check.numeric
             agreement = check.agreement
         report = {
@@ -188,33 +178,21 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
 
 
 def _run_inequalities(args, cfg: OracleConfig) -> int:
-    variants = []
-    for name in ineq.IneqName:
-        variants.append(ineq.InequalityId(name))
-        if name in (ineq.IneqName.C32_I, ineq.IneqName.C32_II):
-            variants.append(ineq.InequalityId(name, frozenset(ineq.SWAPS)))
-        else:
-            variants.extend(
-                ineq.InequalityId(name, frozenset([swap])) for swap in ineq.SWAPS
-            )
     results = []
     failures = 0
-    for iid in variants:
-        label = iid.name.value + (
-            "+" + "+".join(sorted(iid.exchange)) if iid.exchange else ""
-        )
+    for iid in ineq.CHECKED_VARIANTS:
         try:
             rep = ineq.check_inequality(iid, args.samples, args.seed, cfg)
         except ineq.ViolationFound as exc:
             failures += 1
-            results.append({"inequality": label, "status": "violated", "detail": str(exc)})
+            results.append({"inequality": iid.label, "status": "violated", "detail": str(exc)})
             continue
         except ValueError as exc:  # a bad --samples
             print(f"error: {exc}", file=sys.stderr)
             return 1
         results.append(
             {
-                "inequality": label,
+                "inequality": iid.label,
                 "status": "ok",
                 "checked_points": rep.checked_points,
                 "min_residual": _scalar_json(rep.min_residual),
@@ -248,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-oracle", action="store_true",
                         help="skip the numeric verification pass")
-    parser.add_argument("--grid", type=int, default=256,
+    parser.add_argument("--grid", type=int, default=OracleConfig.grid_resolution,
                         help="seed grid resolution per angular dimension")
-    parser.add_argument("--starts", type=int, default=32,
+    parser.add_argument("--starts", type=int, default=OracleConfig.starts,
                         help="number of local refinements")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=OracleConfig.verdict_tol,
                         help="verdict band around zero for the sphere minimum")
-    parser.add_argument("--max-denominator", type=int, default=10**6,
+    parser.add_argument("--max-denominator", type=int, default=OracleConfig.max_denominator,
                         help="denominator bound for exact confirmation")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--samples", type=int, default=1000,
@@ -267,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _oracle_config(args)
+        cfg = OracleConfig(grid_resolution=args.grid, starts=args.starts,
+                           verdict_tol=args.tol, max_denominator=args.max_denominator)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

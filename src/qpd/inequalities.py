@@ -38,9 +38,9 @@ class IneqName(enum.Enum):
     C33_IV = "C33_iv"
 
 
+# Exchange i negates the sign bit s[i] of s = (s112, s113, s223).
 SWAPS = ("swap12", "swap13", "swap23")
-# The sign bit each exchange negates, as an index into s = (s112, s113, s223).
-_SWAP_BITS = {"swap12": 0, "swap13": 1, "swap23": 2}
+_C32 = (IneqName.C32_I, IneqName.C32_II)
 # Every residual has s = _BASE_S before its exchanges; the table gives
 # c = (c123, c223, c233) and the level b.
 _BASE_S = (-1, 1, -1)
@@ -72,10 +72,7 @@ class InequalityId:
         unknown = swaps - set(SWAPS)
         if unknown:
             raise UnknownId(f"unknown exchange flags {sorted(unknown)}")
-        if self.name in (IneqName.C32_I, IneqName.C32_II) and swaps not in (
-            frozenset(),
-            frozenset(SWAPS),
-        ):
+        if self.name in _C32 and swaps not in (frozenset(), frozenset(SWAPS)):
             raise UnknownId(
                 "C32 inequalities admit only the simultaneous three-way exchange"
             )
@@ -85,13 +82,27 @@ class InequalityId:
     def strict(self) -> bool:
         return self.name is not IneqName.C32_I
 
+    @property
+    def label(self) -> str:
+        """The name and the sorted exchanges joined by "+", e.g. "C33_i+swap12"."""
+        return "+".join((self.name.value, *sorted(self.exchange)))
+
+
+# Each inequality plain, then with every exchange it admits: all three at once
+# for C32, one at a time for C33.
+CHECKED_VARIANTS = tuple(
+    InequalityId(name, frozenset(swaps))
+    for name in IneqName
+    for swaps in ([(), SWAPS] if name in _C32 else [(), *([swap] for swap in SWAPS)])
+)
+
 
 def residual_tensor(iid: InequalityId) -> TernaryQuartic:
     """LHS - RHS as its sign-class tensor; each exchange flips one s bit."""
     c, b = _CLASS_FORM[iid.name]
     s = list(_BASE_S)
     for swap in iid.exchange:
-        s[_SWAP_BITS[swap]] *= -1
+        s[SWAPS.index(swap)] *= -1
     return SignClassTensor(*s, *c, b).to_quartic()
 
 
@@ -126,8 +137,6 @@ def random_rational_point(rng: random.Random) -> tuple[Fraction, Fraction, Fract
 
 @dataclass
 class IneqReport:
-    iid: InequalityId
-    samples: int
     min_residual: Optional[Fraction] = None
     equality_points: int = 0
     checked_points: int = 0
@@ -148,7 +157,7 @@ def check_inequality(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    report = IneqReport(iid, samples)
+    report = IneqReport()
     points = list(_STRUCTURED_POINTS) + [
         random_rational_point(rng) for _ in range(samples)
     ]

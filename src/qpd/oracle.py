@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensors import EXPONENTS, Quartic, Scalar, Vector, evaluate
+from .tensors import EXPONENTS, Quartic, Vector, evaluate
 from .verdicts import Classification
 
 
@@ -310,7 +310,6 @@ _EXPECTED = {
 
 @dataclass(frozen=True)
 class AgreementReport:
-    analytic_class: Classification
     numeric: OracleResult
     agreement: str  # agree | conflict | inconclusive | n/a
 
@@ -326,11 +325,11 @@ def verify_verdict(T: Quartic, analytic, cfg: OracleConfig = OracleConfig()) -> 
     result = min_on_sphere(T, cfg)
     expected = _EXPECTED.get(cls)
     if expected is None:
-        return AgreementReport(cls, result, "n/a")
+        return AgreementReport(result, "n/a")
     if result.verdict is expected:
         agreement = "agree"
     elif abs(result.min_value) <= 10 * cfg.verdict_tol:
         agreement = "inconclusive"
     else:
         agreement = "conflict"
-    return AgreementReport(cls, result, agreement)
+    return AgreementReport(result, agreement)

@@ -317,6 +317,8 @@ def tensor_from_json(text: str) -> Quartic:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except TooManyDigits as exc:
         raise ParseError(str(exc)) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -352,7 +354,11 @@ def tensor_from_json(text: str) -> Quartic:
 
 def load_tensor(path) -> Quartic:
     with open(path, "r", encoding="utf-8") as fh:
-        return tensor_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return tensor_from_json(text)
 
 
 def _check_digits(value: Union[int, Fraction]) -> Union[int, Fraction]:

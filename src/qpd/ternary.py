@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Callable, Optional
 
 from .tensors import Scalar, TernaryQuartic, Vector, evaluate, multi_indices
-from .verdicts import Classification, ClassVerdict, Regime
+from .verdicts import Classification, ClassVerdict
 
 
 class NotInClass(Exception):
@@ -201,7 +201,6 @@ class _Level:
     was stated for (s fixed at _REPRESENTATIVE_S).
     """
 
-    regime: Regime
     condition: Optional[Callable[[SignClassTensor], bool]]
     holds: Classification
     witness_cases: tuple = ()
@@ -218,17 +217,17 @@ _LOW_LEVEL_CASES = (
 # Conditions are applied up to relabeling: the literal statements fix a
 # representative and are not invariant under variable negation.
 _LEVELS = {
-    Fraction(11, 6): _Level(Regime.B_11_6, condition_iii_up_to_relabeling,
-                            Classification.PSD_NOT_PD, _LOW_LEVEL_CASES),
-    Fraction(2): _Level(Regime.B_2, condition_iii_up_to_relabeling,
-                        Classification.POSITIVE_DEFINITE, _LOW_LEVEL_CASES),
+    Fraction(11, 6): _Level(condition_iii_up_to_relabeling, Classification.PSD_NOT_PD,
+                            _LOW_LEVEL_CASES),
+    Fraction(2): _Level(condition_iii_up_to_relabeling, Classification.POSITIVE_DEFINITE,
+                        _LOW_LEVEL_CASES),
     Fraction(5, 2): _Level(
-        Regime.B_5_2, condition_iv_up_to_relabeling, Classification.POSITIVE_DEFINITE,
+        condition_iv_up_to_relabeling, Classification.POSITIVE_DEFINITE,
         (((1, -1, 1), (Fraction(1, 4), Fraction(-1, 4), Fraction(1))),
          ((-1, -1, -1), (Fraction(-1), Fraction(-3), Fraction(-1)))),
     ),
     # Every level b >= 8/3 is decided as 8/3.
-    Fraction(8, 3): _Level(Regime.B_GE_8_3, None, Classification.POSITIVE_DEFINITE),
+    Fraction(8, 3): _Level(None, Classification.POSITIVE_DEFINITE),
 }
 STUDIED_LEVELS = tuple(_LEVELS)
 
@@ -305,13 +304,12 @@ def classify_ternary(T: TernaryQuartic) -> ClassVerdict:
     level = top if S.b >= top else S.b
     if level not in _LEVELS:
         bound, witness = _monotone_bound(S)
-        return ClassVerdict(
-            Classification.UNDETERMINED, Regime.OUT_OF_REGIME, cond, witness,
-            monotone_bound=bound,
-        )
+        return ClassVerdict(Classification.UNDETERMINED, "out-of-regime", cond, witness,
+                            monotone_bound=bound)
     cls = _class_at_level(S, level)
     witness = None
     if cls is Classification.NOT_PSD:
         witness = proof_witness(S)
-    return ClassVerdict(cls, _LEVELS[level].regime, cond, witness)
+    regime = f">={level}" if level == top else str(level)
+    return ClassVerdict(cls, regime, cond, witness)
 

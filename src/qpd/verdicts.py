@@ -5,7 +5,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .tensors import Scalar, Vector
+from .tensors import Vector
 
 
 class Classification(enum.Enum):
@@ -28,25 +28,19 @@ class Verdict:
     witness: Optional[Vector] = None
 
 
-class Regime(enum.Enum):
-    B_11_6 = "11/6"
-    B_2 = "2"
-    B_5_2 = "5/2"
-    B_GE_8_3 = ">=8/3"
-    OUT_OF_REGIME = "out-of-regime"
-
-
 @dataclass(frozen=True)
 class ClassVerdict:
     """Classification of a sign-class ternary quartic.
 
+    ``regime`` is the studied level that decided it ("11/6", "2", "5/2" or
+    ">=8/3"), or "out-of-regime";
     ``condition_holds`` records the two analytic sign-pattern conditions;
     ``monotone_bound`` is the class inherited from a studied off-diagonal
     level via pointwise monotonicity when ``b`` falls between regimes.
     """
 
     classification: Classification
-    regime: Regime
+    regime: str
     condition_holds: dict = field(default_factory=dict)
     witness: Optional[Vector] = None
     monotone_bound: Optional[Classification] = None

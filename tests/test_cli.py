@@ -108,6 +108,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe"],
+                         ids=["deeply-nested", "not-utf8"])
+def test_unreadable_file_exits_cleanly(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     assert main(["/does/not/exist.json"]) == 1
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from qpd.inequalities import (
+    CHECKED_VARIANTS,
     IneqName,
     InequalityId,
     SWAPS,
@@ -93,8 +94,13 @@ def test_there_are_36_allowed_variants():
     assert len(set(allowed_variants())) == 36
 
 
+def test_checked_variants_are_20_distinct_allowed_ones():
+    assert len({iid.label for iid in CHECKED_VARIANTS}) == len(CHECKED_VARIANTS) == 20
+    assert set(CHECKED_VARIANTS) <= set(allowed_variants())
+
+
 @pytest.mark.parametrize("iid", list(allowed_variants()),
-                         ids=lambda iid: "+".join([iid.name.value, *sorted(iid.exchange)]))
+                         ids=lambda iid: iid.label)
 def test_residual_matches_hand_written_expression(iid):
     rng = random.Random(7)
     for _ in range(200):

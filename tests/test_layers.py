@@ -64,6 +64,38 @@ def test_ternary_does_not_import_the_oracle():
     assert "oracle" not in package_imports(PACKAGE / "ternary.py")
 
 
+def unused_imports(path):
+    """Names a source file imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_no_unused_imports(module):
+    assert unused_imports(PACKAGE / f"{module}.py") == set()
+
+
+def test_unused_import_scan(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from .tensors import Scalar, Vector\n"
+        "def f(x: Vector) -> int:\n"
+        "    return np.sum(x) + len(os.path.sep)\n"
+    )
+    assert unused_imports(source) == {"Fraction", "Scalar"}
+
+
 def test_import_scan_sees_function_bodies(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text(
