@@ -58,17 +58,6 @@ def _radical_sign(p, q, m) -> int:
     return sp * _sign(p * p - q * q * m)
 
 
-def _sqrt_diff_sign(u, p, v, q) -> int:
-    """Sign of u*sqrt(p) - v*sqrt(q) for rationals with p, q >= 0."""
-    a = 0 if (u == 0 or p == 0) else _sign(u)
-    b = 0 if (v == 0 or q == 0) else _sign(v)
-    if a != b:
-        return 1 if a > b else -1
-    if a == 0:
-        return 0
-    return a * _sign(u * u * p - v * v * q)
-
-
 def _shared_pieces(T: BinaryQuartic):
     a, b, c, d, e = T.t1111, T.t1112, T.t1122, T.t1222, T.t2222
     m = a * e  # all radicals below reduce to sqrt(a*e)
@@ -88,7 +77,9 @@ def condition_I(T: BinaryQuartic) -> tuple[bool, str]:
     disc = invariants_IJ(T).disc
     m, cond_minus, c_below_root, branch_ii = _shared_pieces(T)
     if disc == 0:
-        eq_cubics = _sqrt_diff_sign(b, e, d, a) == 0
+        # b*sqrt(e) = d*sqrt(a), times sqrt(a); exact for a > 0, and for
+        # a = 0 eq_mixed already forces b = 0
+        eq_cubics = _radical_sign(-a * d, b, m) == 0
         # 2 b^2 + a*sqrt(ae) = 3 a c, i.e. (3ac - 2b^2) - a*sqrt(ae) = 0
         eq_mixed = _radical_sign(3 * a * c - 2 * b * b, -a, m) == 0
         if eq_cubics and eq_mixed and c_below_root > 0:

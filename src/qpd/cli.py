@@ -14,8 +14,7 @@ from itertools import product
 from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
 from .oracle import NonFiniteValue, OracleConfig, OracleResult, min_on_sphere, verify_verdict
-from .tensors import (ParseError, TensorError, TooManyDigits, evaluate, format_scalar,
-                      load_tensor)
+from .tensors import TensorError, TooManyDigits, evaluate, format_scalar, load_tensor
 from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary
 from .verdicts import Verdict
 
@@ -88,18 +87,21 @@ def _render_text(report: dict, prefix: str = "") -> list[str]:
 def _classify_tensor(tensor, mode):
     """Analytic verdict for the requested mode, or None for oracle-only.
 
-    A ternary tensor outside the sign class downgrades to oracle-only."""
+    A ternary tensor outside the sign class downgrades to oracle-only, with a
+    notice on stderr."""
     if mode == "oracle-only":
-        return None, None
+        return None
     if tensor.dim == 2:
         try:
-            return classify_sign_binary(tensor), None
+            return classify_sign_binary(tensor)
         except NotInSignClass:
-            return classify_binary(tensor), None
+            return classify_binary(tensor)
     try:
-        return classify_ternary(tensor), None
+        return classify_ternary(tensor)
     except NotInClass as exc:
-        return None, f"tensor outside the analytic sign class ({exc}); oracle only"
+        print(f"notice: tensor outside the analytic sign class ({exc}); oracle only",
+              file=sys.stderr)
+        return None
 
 
 def _run_classify(args, cfg: OracleConfig) -> int:
@@ -108,7 +110,7 @@ def _run_classify(args, cfg: OracleConfig) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, TensorError) as exc:
+    except TensorError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
     if args.mode == "binary" and tensor.dim != 2 or args.mode == "ternary" and tensor.dim != 3:
@@ -119,9 +121,7 @@ def _run_classify(args, cfg: OracleConfig) -> int:
     numeric = None
     agreement = "n/a"
     try:
-        analytic, notice = _classify_tensor(tensor, args.mode)
-        if notice:
-            print(f"notice: {notice}", file=sys.stderr)
+        analytic = _classify_tensor(tensor, args.mode)
         if analytic is None:
             numeric = min_on_sphere(tensor, cfg)
         elif not args.no_oracle:
@@ -148,26 +148,25 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
     conflicts = 0
     counts: dict[str, int] = {}
     for b in STUDIED_LEVELS:
-        for s in product((1, -1), repeat=3):
-            for c in product((1, -1), repeat=3):
-                tensor = SignClassTensor(*s, *c, b).to_quartic()
-                verdict = classify_ternary(tensor)
-                check = verify_verdict(tensor, verdict, cfg)
-                if check.agreement == "conflict":
-                    conflicts += 1
-                key = f"{format_scalar(b)}:{verdict.classification.value}"
-                counts[key] = counts.get(key, 0) + 1
-                rows.append(
-                    {
-                        "b": format_scalar(b),
-                        "s": list(s),
-                        "c": list(c),
-                        "analytic": verdict.classification.value,
-                        "numeric": check.numeric.verdict.value,
-                        "min_value": check.numeric.min_value,
-                        "agreement": check.agreement,
-                    }
-                )
+        for bits in product((1, -1), repeat=6):
+            tensor = SignClassTensor(*bits, b).to_quartic()
+            verdict = classify_ternary(tensor)
+            check = verify_verdict(tensor, verdict, cfg)
+            if check.agreement == "conflict":
+                conflicts += 1
+            key = f"{format_scalar(b)}:{verdict.classification.value}"
+            counts[key] = counts.get(key, 0) + 1
+            rows.append(
+                {
+                    "b": format_scalar(b),
+                    "s": list(bits[:3]),
+                    "c": list(bits[3:]),
+                    "analytic": verdict.classification.value,
+                    "numeric": check.numeric.verdict.value,
+                    "min_value": check.numeric.min_value,
+                    "agreement": check.agreement,
+                }
+            )
     report = {
         "mode": "sweep",
         "rows": rows,

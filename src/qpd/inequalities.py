@@ -14,11 +14,12 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
 from .tensors import Scalar, TernaryQuartic, evaluate
-from .ternary import SignClassTensor
+from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
 
 
 class UnknownId(Exception):
@@ -38,8 +39,8 @@ class IneqName(enum.Enum):
     C33_IV = "C33_iv"
 
 
-# Exchange i negates the sign bit s[i] of s = (s112, s113, s223).
-SWAPS = ("swap12", "swap13", "swap23")
+# Exchange i negates the sign bit s[i] of the cubic pair CUBIC_PAIRS[i].
+SWAPS = tuple(f"swap{i}{j}" for i, j in CUBIC_PAIRS)
 _C32 = (IneqName.C32_I, IneqName.C32_II)
 # Every residual has s = _BASE_S before its exchanges; the table gives
 # c = (c123, c223, c233) and the level b.
@@ -118,10 +119,7 @@ _STRUCTURED_POINTS = (
     (-1, 0, 0), (0, -1, 0), (0, 0, -1),
     (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
     (1, 1, 1),
-    (Fraction(1, 5), Fraction(-1, 5), 1),
-    (Fraction(1, 2), Fraction(-1, 2), 1),
-    (Fraction(1, 4), Fraction(-1, 4), 1),
-    (-1, -3, -1),
+    *PROOF_POINTS,
 )
 
 
@@ -158,12 +156,11 @@ def check_inequality(
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     report = IneqReport()
-    points = list(_STRUCTURED_POINTS) + [
-        random_rational_point(rng) for _ in range(samples)
-    ]
+    # Random points are drawn as they are checked, so memory stays flat.
+    points = chain(_STRUCTURED_POINTS, (random_rational_point(rng) for _ in range(samples)))
     if iid.name is IneqName.C32_I:
         # Exercise both directions of the equality case.
-        points += [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))]
+        points = chain(points, [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
     T = residual_tensor(iid)
     minimum = None
     for x in points:

@@ -137,11 +137,6 @@ EXPONENTS = {
 POSITIONS = {dim: {m: p for p, m in enumerate(idx)} for dim, idx in MULTI_INDICES.items()}
 
 
-def multi_indices(dim: int) -> list[MultiIndex]:
-    """All sorted degree-4 multi-indices over {1..dim} (5 for dim 2, 15 for 3)."""
-    return list(MULTI_INDICES[dim])
-
-
 def _canonical_key(key, dim: int) -> MultiIndex:
     if not isinstance(key, tuple) or len(key) != ORDER:
         raise BadArity(f"entry key must be a 4-tuple, got {key!r}")
@@ -250,7 +245,7 @@ def build_tensor(dim: int, entries: Mapping[Sequence[int], Scalar]) -> Quartic:
             first_key[ckey] = tuple(key)
     if dim == 2:
         zero = Fraction(0)
-        return BinaryQuartic(*(canonical.get(m, zero) for m in multi_indices(2)))
+        return BinaryQuartic(*(canonical.get(m, zero) for m in MULTI_INDICES[2]))
     return TernaryQuartic.from_map(canonical)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional
 
-from .tensors import Scalar, TernaryQuartic, Vector, evaluate, multi_indices
+from .tensors import MULTI_INDICES, Scalar, TernaryQuartic, Vector, evaluate
 from .verdicts import Classification, ClassVerdict
 
 
@@ -26,17 +26,19 @@ class NotInClass(Exception):
     """The tensor is not a member of the unit-entry sign class."""
 
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))
-_CUBIC = {(1, 2): "s112", (1, 3): "s113", (2, 3): "s223"}
+# The sign-class layout.  For the cubic pair (i, j), s_ij is at t_iiij, -s_ij
+# at t_ijjj and the level b at t_iijj; the mixed entries _MIXED hold c.
+CUBIC_PAIRS = ((1, 2), (1, 3), (2, 3))
+_MIXED = ((1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3))
 
 
 @dataclass(frozen=True)
 class SignClassTensor:
     """Structured form of a class member: six free sign bits and the level b.
 
-    s112, s113, s223 are t1112, t1113, t2223; the paired entries t1222, t1333,
-    t2333 are forced to the opposite signs.  c123, c223, c233 are t1123,
-    t1223, t1233.
+    s112, s113, s223 are the s_ij of CUBIC_PAIRS (t1112, t1113, t2223); the
+    paired entries t1222, t1333, t2333 are forced to the opposite signs.
+    c123, c223, c233 are the _MIXED entries t1123, t1223, t1233.
     """
 
     s112: int
@@ -56,23 +58,13 @@ class SignClassTensor:
         return (self.s112, self.s113, self.s223)
 
     def to_quartic(self) -> TernaryQuartic:
-        entries = {
-            (1, 1, 1, 1): Fraction(1),
-            (2, 2, 2, 2): Fraction(1),
-            (3, 3, 3, 3): Fraction(1),
-            (1, 1, 1, 2): Fraction(self.s112),
-            (1, 2, 2, 2): Fraction(-self.s112),
-            (1, 1, 1, 3): Fraction(self.s113),
-            (1, 3, 3, 3): Fraction(-self.s113),
-            (2, 2, 2, 3): Fraction(self.s223),
-            (2, 3, 3, 3): Fraction(-self.s223),
-            (1, 1, 2, 3): Fraction(self.c123),
-            (1, 2, 2, 3): Fraction(self.c223),
-            (1, 2, 3, 3): Fraction(self.c233),
-            (1, 1, 2, 2): self.b,
-            (1, 1, 3, 3): self.b,
-            (2, 2, 3, 3): self.b,
-        }
+        entries = {(i, i, i, i): Fraction(1) for i in (1, 2, 3)}
+        for (i, j), s in zip(CUBIC_PAIRS, self.s):
+            entries[i, i, i, j] = Fraction(s)
+            entries[i, j, j, j] = Fraction(-s)
+            entries[i, i, j, j] = self.b
+        for midx, c in zip(_MIXED, self.c):
+            entries[midx] = Fraction(c)
         return TernaryQuartic.from_map(entries)
 
 
@@ -84,8 +76,8 @@ def validate_class(T: TernaryQuartic) -> SignClassTensor:
     for i in (1, 2, 3):
         if T.coeff((i, i, i, i)) != 1:
             raise NotInClass(f"t{i}{i}{i}{i} must be 1, got {T.coeff((i,i,i,i))}")
-    signs = {}
-    for i, j in _PAIRS:
+    bits = []
+    for i, j in CUBIC_PAIRS:
         tiiij = T.coeff((i, i, i, j))
         tijjj = T.coeff((i, j, j, j))
         if tiiij not in (1, -1):
@@ -95,21 +87,20 @@ def validate_class(T: TernaryQuartic) -> SignClassTensor:
                 f"pairing violated: t{i}{j}{j}{j} * t{i}{i}{i}{j} must be -1, "
                 f"got {tijjj} * {tiiij}"
             )
-        signs[_CUBIC[(i, j)]] = int(tiiij)
-    cs = {}
-    for name, midx in (("c123", (1, 1, 2, 3)), ("c223", (1, 2, 2, 3)), ("c233", (1, 2, 3, 3))):
+        bits.append(int(tiiij))
+    for midx in _MIXED:
         v = T.coeff(midx)
         if v not in (1, -1):
             raise NotInClass(f"t{''.join(map(str, midx))} must be +-1, got {v}")
-        cs[name] = int(v)
+        bits.append(int(v))
     b = T.coeff((1, 1, 2, 2))
-    for i, j in ((1, 3), (2, 3)):
+    for i, j in CUBIC_PAIRS[1:]:
         if T.coeff((i, i, j, j)) != b:
             raise NotInClass(
                 f"off-diagonal level not uniform: t{i}{i}{j}{j} = "
                 f"{T.coeff((i, i, j, j))} but t1122 = {b}"
             )
-    return SignClassTensor(b=b, **signs, **cs)
+    return SignClassTensor(*bits, b)
 
 
 def check_condition_iii(S: SignClassTensor) -> bool:
@@ -143,7 +134,7 @@ def transform(T: TernaryQuartic, perm: tuple[int, int, int], signs: tuple[int, i
     """
     pm = {1: perm[0], 2: perm[1], 3: perm[2]}
     entries = {}
-    for midx in multi_indices(3):
+    for midx in MULTI_INDICES[3]:
         src = tuple(sorted(pm[i] for i in midx))
         sgn = 1
         for i in midx:
@@ -230,6 +221,10 @@ _LEVELS = {
     Fraction(8, 3): _Level(None, Classification.POSITIVE_DEFINITE),
 }
 STUDIED_LEVELS = tuple(_LEVELS)
+# The distinct counterexample points of the necessity arguments.
+PROOF_POINTS = tuple(dict.fromkeys(
+    point for row in _LEVELS.values() for _, point in row.witness_cases
+))
 
 
 def proof_witness(S: SignClassTensor) -> Optional[Vector]:

@@ -6,6 +6,7 @@ import pytest
 
 from qpd.binary import (
     NotInSignClass,
+    _radical_sign,
     classify_binary,
     classify_sign_binary,
     condition_I,
@@ -80,6 +81,69 @@ class TestClassifyBinary:
     def test_perfect_square_plus(self):
         # (x^2 + y^2)^2 is PD
         assert classify_binary(BinaryQuartic(1, 0, F(1, 3), 0, 1)).classification is PD
+
+
+def square_of_quadratic(alpha, beta, gamma):
+    """(alpha x^2 + beta xy + gamma y^2)^2, whose discriminant is 0."""
+    return BinaryQuartic(F(alpha * alpha), F(alpha * beta, 2),
+                         F(beta * beta + 2 * alpha * gamma, 6), F(beta * gamma, 2),
+                         F(gamma * gamma))
+
+
+def sqrt_diff_sign(u, p, v, q):
+    """Sign of u*sqrt(p) - v*sqrt(q) for rationals with p, q >= 0, compared
+    term by term: an independent reference for the disc-0 cubic test."""
+    a = 0 if (u == 0 or p == 0) else (u > 0) - (u < 0)
+    b = 0 if (v == 0 or q == 0) else (v > 0) - (v < 0)
+    if a != b:
+        return 1 if a > b else -1
+    if a == 0:
+        return 0
+    diff = u * u * p - v * v * q
+    return a * ((diff > 0) - (diff < 0))
+
+
+def disc0_reference(T):
+    """condition_I's disc-0 test with b*sqrt(e) = d*sqrt(a) decided by
+    sqrt_diff_sign."""
+    a, b, c, d, e = T.coeffs
+    eq_cubics = sqrt_diff_sign(b, e, d, a) == 0
+    eq_mixed = _radical_sign(3 * a * c - 2 * b * b, -a, a * e) == 0
+    return eq_cubics and eq_mixed and _radical_sign(-c, 1, a * e) > 0
+
+
+class TestDiscZero:
+    @pytest.mark.parametrize("abc, cls, branch", [
+        ((1, 1, 1), PD, "I-disc0"),
+        ((1, -1, 2), PD, "I-disc0"),
+        ((2, 1, 3), PD, "I-disc0"),
+        ((1, 3, 1), PSD, "II-branch-ii"),
+    ], ids=["1,1,1", "1,-1,2", "2,1,3", "1,3,1"])
+    def test_squares_of_quadratics(self, abc, cls, branch):
+        T = square_of_quadratic(*abc)
+        assert invariants_IJ(T).disc == 0
+        assert T.t1112 != 0 and T.t1222 != 0
+        v = classify_binary(T)
+        assert (v.classification, v.branch) == (cls, branch)
+
+    def test_disc0_branch_matches_reference(self):
+        halves = [F(k, 2) for k in range(-2, 3)]
+        forms = [square_of_quadratic(*abc) for abc in product(range(-3, 4), repeat=3)]
+        forms += [BinaryQuartic(a, b, c, d, e)
+                  for a, e in product((0, 1, 4), repeat=2)
+                  for b, d in product(halves, repeat=2)
+                  for c in (F(-1), F(0), F(1, 6), F(1, 3), F(1, 2), F(1))]
+        definite = 0
+        for T in forms:
+            if invariants_IJ(T).disc != 0:
+                continue
+            a, b, _, d, e = T.coeffs
+            if a > 0:
+                assert (_radical_sign(-a * d, b, a * e) == 0) == (sqrt_diff_sign(b, e, d, a) == 0)
+            expected = disc0_reference(T)
+            assert condition_I(T) == ((True, "I-disc0") if expected else (False, ""))
+            definite += expected and b != 0 and d != 0
+        assert definite > 10  # the grid reaches the branch with b, d != 0
 
 
 class TestSignClass:

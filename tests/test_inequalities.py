@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from qpd import inequalities
 from qpd.inequalities import (
     CHECKED_VARIANTS,
     IneqName,
@@ -174,6 +175,26 @@ class TestCheckInequality:
     def test_mirrored_c32(self):
         rep = check_inequality(rid(IneqName.C32_I, *SWAPS), samples=100, seed=9)
         assert rep.equality_points >= 3
+
+    def test_points_are_drawn_as_they_are_checked(self, monkeypatch):
+        evaluate, draw = inequalities.evaluate, inequalities.random_rational_point
+        evaluated = []
+        drawn_after = []  # points evaluated before each random draw
+
+        def counting_evaluate(T, x):
+            evaluated.append(x)
+            return evaluate(T, x)
+
+        def counting_draw(rng):
+            drawn_after.append(len(evaluated))
+            return draw(rng)
+
+        monkeypatch.setattr(inequalities, "evaluate", counting_evaluate)
+        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        check_inequality(rid(IneqName.C32_I), samples=5, seed=1)
+        ahead = len(inequalities._STRUCTURED_POINTS)
+        assert drawn_after == [ahead + k for k in range(5)]
+        assert len(evaluated) == ahead + 5 + 3
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from qpd.oracle import (
     rationalize_and_confirm,
     verify_verdict,
 )
-from qpd.tensors import BinaryQuartic, build_tensor, evaluate, multi_indices
+from qpd.tensors import MULTI_INDICES, BinaryQuartic, build_tensor, evaluate
 from qpd.ternary import STUDIED_LEVELS, SignClassTensor
 from qpd.verdicts import Classification
 
@@ -110,7 +110,7 @@ class TestMinOnSphere:
 def general_ternary():
     coeffs = (3, F(-1, 2), F(5, 4), F(7, 3), 2, F(-3, 4), F(1, 6), F(-5, 2),
               F(2, 3), 1, F(9, 4), F(-1, 3), F(4, 5), F(-7, 6), F(5, 2))
-    return build_tensor(3, dict(zip(multi_indices(3), coeffs)))
+    return build_tensor(3, dict(zip(MULTI_INDICES[3], coeffs)))
 
 
 DIM_TENSORS = {2: BinaryQuartic(F(3, 2), F(-1, 3), F(1, 4), F(5, 6), 2), 3: general_ternary()}

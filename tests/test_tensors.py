@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qpd.tensors import (
     EXPONENTS,
+    MULTI_INDICES,
     MULTIPLICITIES,
     BadArity,
     BadIndex,
@@ -16,7 +17,6 @@ from qpd.tensors import (
     TernaryQuartic,
     build_tensor,
     evaluate,
-    multi_indices,
     multiplicity,
     parse_scalar,
 )
@@ -42,8 +42,8 @@ def test_parse_scalar_exact_fraction():
 
 
 def test_multi_index_counts():
-    assert len(multi_indices(2)) == 5
-    assert len(multi_indices(3)) == 15
+    assert len(MULTI_INDICES[2]) == 5
+    assert len(MULTI_INDICES[3]) == 15
 
 
 def test_multiplicity():
@@ -124,7 +124,7 @@ class TestGradient:
         for _ in range(50):
             dim = rng.choice((2, 3))
             T = build_tensor(dim, {
-                m: rng.uniform(-1, 1) for m in multi_indices(dim)
+                m: rng.uniform(-1, 1) for m in MULTI_INDICES[dim]
             })
             x = [rng.uniform(-1, 1) for _ in range(dim)]
             g = gradient(T, x)
@@ -172,7 +172,7 @@ def test_euler_identity_binary(x):
     assert sum(gi * xi for gi, xi in zip(g, x)) == 4 * evaluate(T, x)
 
 
-@given(st.dictionaries(st.sampled_from(multi_indices(3)), rationals, max_size=15),
+@given(st.dictionaries(st.sampled_from(MULTI_INDICES[3]), rationals, max_size=15),
        st.lists(rationals, min_size=3, max_size=3))
 @settings(max_examples=50)
 def test_symmetry_under_key_permutation(entries, x):
@@ -187,7 +187,7 @@ def test_symmetry_under_key_permutation(entries, x):
     assert evaluate(build_tensor(3, entries), x) == evaluate(build_tensor(3, shuffled), x)
 
 
-@given(st.dictionaries(st.sampled_from(multi_indices(2)), rationals, max_size=5),
+@given(st.dictionaries(st.sampled_from(MULTI_INDICES[2]), rationals, max_size=5),
        st.lists(rationals, min_size=2, max_size=2))
 @example(entries={(1, 1, 1, 2): F(49, 6)}, x=[F(67, 7), F(48, 5)])  # value ~2.7e5
 @settings(max_examples=50)
@@ -206,7 +206,7 @@ def test_exact_float_agreement(entries, x):
 
 def test_term_tables():
     for dim in (2, 3):
-        idx = multi_indices(dim)
+        idx = MULTI_INDICES[dim]
         assert MULTIPLICITIES[dim] == tuple(multiplicity(m) for m in idx)
         assert EXPONENTS[dim] == tuple(tuple(m.count(j) for j in range(1, dim + 1)) for m in idx)
         assert sum(MULTIPLICITIES[dim]) == dim**4
@@ -215,7 +215,7 @@ def test_term_tables():
 def fraction_loop(T, x):
     """Exact evaluation as a sum of Fraction products, one term at a time."""
     total = 0
-    for midx, c in zip(multi_indices(T.dim), T.coeffs):
+    for midx, c in zip(MULTI_INDICES[T.dim], T.coeffs):
         if c == 0:
             continue
         mono = 1
@@ -239,8 +239,8 @@ coefficients = st.one_of(st.just(F(0)), st.integers(-50, 50), rationals, exact_s
 
 @st.composite
 def quartic_and_point(draw, dim):
-    coeffs = draw(st.lists(coefficients, min_size=len(multi_indices(dim)),
-                           max_size=len(multi_indices(dim))))
+    coeffs = draw(st.lists(coefficients, min_size=len(MULTI_INDICES[dim]),
+                           max_size=len(MULTI_INDICES[dim])))
     T = BinaryQuartic(*coeffs) if dim == 2 else TernaryQuartic(tuple(coeffs))
     x = draw(st.one_of(st.just([0] * dim), st.lists(exact_scalars, min_size=dim, max_size=dim)))
     return T, x

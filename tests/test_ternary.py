@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -33,6 +34,50 @@ ALL_PATTERNS = [(s, c) for s in product((1, -1), repeat=3)
 
 def tensor(s, c, b):
     return SignClassTensor(*s, *c, F(b)).to_quartic()
+
+
+def reference_entries(S):
+    """The sign-class layout written out entry by entry."""
+    return {
+        (1, 1, 1, 1): F(1),
+        (2, 2, 2, 2): F(1),
+        (3, 3, 3, 3): F(1),
+        (1, 1, 1, 2): F(S.s112),
+        (1, 2, 2, 2): F(-S.s112),
+        (1, 1, 1, 3): F(S.s113),
+        (1, 3, 3, 3): F(-S.s113),
+        (2, 2, 2, 3): F(S.s223),
+        (2, 3, 3, 3): F(-S.s223),
+        (1, 1, 2, 3): F(S.c123),
+        (1, 2, 2, 3): F(S.c223),
+        (1, 2, 3, 3): F(S.c233),
+        (1, 1, 2, 2): S.b,
+        (1, 1, 3, 3): S.b,
+        (2, 2, 3, 3): S.b,
+    }
+
+
+class TestLayout:
+    @pytest.mark.parametrize("b", [F(7, 4), F(11, 6), F(2), F(5, 2), F(8, 3)])
+    def test_to_quartic_matches_reference_and_round_trips(self, b):
+        for s, c in ALL_PATTERNS:
+            S = SignClassTensor(*s, *c, b)
+            T = S.to_quartic()
+            assert T == build_tensor(3, reference_entries(S))
+            assert validate_class(T) == S
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ((2, 2, 2, 2), F(3), "t2222 must be 1, got 3"),
+        ((1, 1, 1, 3), F(2), "t1113 must be +-1, got 2"),
+        ((1, 2, 2, 2), F(1), "pairing violated: t1222 * t1112 must be -1, got 1 * 1"),
+        ((1, 2, 2, 3), F(0), "t1223 must be +-1, got 0"),
+        ((1, 1, 3, 3), F(5, 2), "off-diagonal level not uniform: t1133 = 5/2 but t1122 = 2"),
+    ], ids=["diagonal", "cubic", "pairing", "mixed", "level"])
+    def test_not_in_class_messages(self, entry, value, message):
+        entries = reference_entries(SignClassTensor(1, 1, 1, 1, 1, 1, F(2)))
+        entries[entry] = value
+        with pytest.raises(NotInClass, match=f"^{re.escape(message)}$"):
+            validate_class(build_tensor(3, entries))
 
 
 class TestValidateClass:
