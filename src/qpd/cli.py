@@ -177,18 +177,18 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
 
 
 def _run_inequalities(args, cfg: OracleConfig) -> int:
+    try:
+        outcomes = ineq.check_inequalities(ineq.CHECKED_VARIANTS, args.samples, args.seed, cfg)
+    except ValueError as exc:  # a bad --samples
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     results = []
     failures = 0
-    for iid in ineq.CHECKED_VARIANTS:
-        try:
-            rep = ineq.check_inequality(iid, args.samples, args.seed, cfg)
-        except ineq.ViolationFound as exc:
+    for iid, rep in zip(ineq.CHECKED_VARIANTS, outcomes):
+        if isinstance(rep, ineq.ViolationFound):
             failures += 1
-            results.append({"inequality": iid.label, "status": "violated", "detail": str(exc)})
+            results.append({"inequality": iid.label, "status": "violated", "detail": str(rep)})
             continue
-        except ValueError as exc:  # a bad --samples
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         results.append(
             {
                 "inequality": iid.label,

@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from .oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
-from .tensors import Scalar, TernaryQuartic, evaluate
+from .tensors import Scalar, TernaryQuartic, evaluate, exact_numerators, format_scalar
 from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
 
 
@@ -142,6 +142,85 @@ class IneqReport:
     oracle_exact: Optional[Fraction] = None
 
 
+def check_inequalities(
+    iids: Sequence[InequalityId], samples: int, seed: int = 0,
+    cfg: OracleConfig = OracleConfig(),
+) -> list[Union[IneqReport, ViolationFound]]:
+    """Check each variant in iids as check_inequality does, in one pass over
+    the points: each point is drawn and scaled to integers once, then checked
+    against every variant that has not yet failed.
+
+    Returns, in the order of iids, each variant's IneqReport or the
+    ViolationFound its own check would raise.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = random.Random(seed)
+    tensors = [residual_tensor(iid) for iid in iids]
+    forms = [T.integer_form for T in tensors]
+    outcomes = [IneqReport() for _ in iids]
+    minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value
+
+    def feed(live, points):
+        """Check points against the variants live (indices into iids) until
+        each has failed; return those still standing."""
+        for x in points:
+            if not live:
+                break
+            nonzero, diagonal = any(x), _on_diagonal(x)
+            # The denominator D_t * L**4 is positive, so N has f_t(x)'s sign.
+            L4, numerators = exact_numerators([forms[t] for t in live], x)
+            failed = False
+            for t, N in zip(live, numerators):
+                iid, report = iids[t], outcomes[t]
+                report.checked_points += 1
+                if N < 0:
+                    problem = f"residual {Fraction(N, forms[t][0] * L4)} < 0"
+                elif N == 0 and nonzero and (iid.strict or not diagonal):
+                    problem = "unexpected zero residual"
+                elif N != 0 and diagonal and iid.name is IneqName.C32_I:
+                    problem = f"residual {Fraction(N, forms[t][0] * L4)} != 0 on the diagonal"
+                else:
+                    if N == 0 and nonzero:
+                        report.equality_points += 1
+                    least = minima[t]
+                    if nonzero and (least is None or N * least[1] < least[0] * L4):
+                        minima[t] = (N, L4)
+                    continue
+                at = ", ".join(str(format_scalar(v)) for v in x)
+                outcomes[t] = ViolationFound(f"{iid.name.value}: {problem} at ({at})")
+                failed = True
+            if failed:
+                live = [t for t in live if isinstance(outcomes[t], IneqReport)]
+        return live
+
+    # Random points are drawn as they are checked, so memory stays flat.
+    live = feed(range(len(iids)), chain(
+        _STRUCTURED_POINTS, (random_rational_point(rng) for _ in range(samples))))
+    # Exercise both directions of C32_i's equality case.
+    feed([t for t in live if iids[t].name is IneqName.C32_I],
+         [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
+
+    for t, (iid, T, report) in enumerate(zip(iids, tensors, outcomes)):
+        if not isinstance(report, IneqReport):
+            continue
+        N, L4 = minima[t]  # set by the first structured point, (1, 0, 0)
+        report.min_residual = Fraction(N, forms[t][0] * L4)
+        result = min_on_sphere(T, cfg)
+        report.oracle_min = result.min_value
+        report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
+        if result.min_value < -cfg.verdict_tol:
+            outcomes[t] = ViolationFound(
+                f"{iid.name.value}: oracle found sphere minimum {result.min_value} < 0"
+            )
+        elif iid.strict and report.oracle_exact <= 0:
+            outcomes[t] = ViolationFound(
+                f"{iid.name.value}: exact value {report.oracle_exact} at rationalized "
+                "argmin is not positive"
+            )
+    return outcomes
+
+
 def check_inequality(
     iid: InequalityId, samples: int, seed: int = 0, cfg: OracleConfig = OracleConfig()
 ) -> IneqReport:
@@ -152,47 +231,7 @@ def check_inequality(
     tensor (configured by cfg), with exact confirmation at the rationalized
     argmin.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    report = IneqReport()
-    # Random points are drawn as they are checked, so memory stays flat.
-    points = chain(_STRUCTURED_POINTS, (random_rational_point(rng) for _ in range(samples)))
-    if iid.name is IneqName.C32_I:
-        # Exercise both directions of the equality case.
-        points = chain(points, [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
-    T = residual_tensor(iid)
-    minimum = None
-    for x in points:
-        value = evaluate(T, x)
-        report.checked_points += 1
-        nonzero = any(v != 0 for v in x)
-        if value < 0:
-            raise ViolationFound(f"{iid.name.value}: residual {value} < 0 at {x}")
-        if value == 0 and nonzero:
-            if iid.strict or not _on_diagonal(x):
-                raise ViolationFound(
-                    f"{iid.name.value}: unexpected zero residual at {x}"
-                )
-            report.equality_points += 1
-        if iid.name is IneqName.C32_I and _on_diagonal(x) and value != 0:
-            raise ViolationFound(
-                f"{iid.name.value}: residual {value} != 0 on the diagonal at {x}"
-            )
-        if nonzero and (minimum is None or value < minimum):
-            minimum = value
-    report.min_residual = minimum
-
-    result = min_on_sphere(T, cfg)
-    report.oracle_min = result.min_value
-    report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
-    if result.min_value < -cfg.verdict_tol:
-        raise ViolationFound(
-            f"{iid.name.value}: oracle found sphere minimum {result.min_value} < 0"
-        )
-    if iid.strict and report.oracle_exact <= 0:
-        raise ViolationFound(
-            f"{iid.name.value}: exact value {report.oracle_exact} at rationalized "
-            "argmin is not positive"
-        )
-    return report
+    [outcome] = check_inequalities([iid], samples, seed, cfg)
+    if isinstance(outcome, ViolationFound):
+        raise outcome
+    return outcome

@@ -261,7 +261,8 @@ def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
     check_dim(T, x)
     form = T.integer_form
     if form is not None and all(isinstance(v, _EXACT) for v in x):
-        return _exact_value(form, x)
+        L4, (total,) = exact_numerators((form,), x)
+        return Fraction(total, form[0] * L4)
     total: Scalar = 0
     for midx, w, c in T.terms():
         if c == 0:
@@ -273,26 +274,33 @@ def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
     return total
 
 
-def _exact_value(form, x: Sequence[Union[int, Fraction]]) -> Fraction:
-    """f(x) = sum_m k_m n^e_m / (D * L**4) for the integer vector n = L*x,
-    L the lcm of x's denominators."""
-    D, rows = form
+def exact_numerators(forms, x: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
+    """``(L**4, [N_t])`` for integer forms ``(D_t, rows_t)`` (see
+    ``integer_form``) at one exact point x: f_t(x) = N_t / (D_t * L**4), where
+    L is the lcm of x's denominators.  x is scaled to the integer vector
+    n = L*x once, and every form sums its rows k_m n^e_m over the same powers."""
     L = math.lcm(*(v.denominator for v in x))
     powers = []
     for v in x:
         n = v.numerator * (L // v.denominator)
         n2 = n * n
         powers.append((1, n, n2, n2 * n, n2 * n2))
-    total = 0
+    totals = []
     if len(powers) == 2:
         p, q = powers
-        for k, a, b in rows:
-            total += k * p[a] * q[b]
+        for _, rows in forms:
+            total = 0
+            for k, a, b in rows:
+                total += k * p[a] * q[b]
+            totals.append(total)
     else:
         p, q, r = powers
-        for k, a, b, c in rows:
-            total += k * p[a] * q[b] * r[c]
-    return Fraction(total, D * L**4)
+        for _, rows in forms:
+            total = 0
+            for k, a, b, c in rows:
+                total += k * p[a] * q[b] * r[c]
+            totals.append(total)
+    return L**4, totals
 
 
 # ---------------------------------------------------------------------------

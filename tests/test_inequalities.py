@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -5,18 +6,25 @@ from itertools import combinations
 import pytest
 
 from qpd import inequalities
+from qpd.cli import main
 from qpd.inequalities import (
     CHECKED_VARIANTS,
     IneqName,
     InequalityId,
     SWAPS,
     UnknownId,
+    check_inequalities,
     check_inequality,
     residual,
     residual_tensor,
 )
+from qpd.oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
+from qpd.tensors import evaluate, format_scalar
 from qpd.ternary import SignClassTensor, classify_ternary, validate_class
 from qpd.verdicts import Classification
+
+
+FAST = OracleConfig(grid_resolution=8, starts=1)
 
 
 def rid(name, *swaps):
@@ -177,25 +185,138 @@ class TestCheckInequality:
         assert rep.equality_points >= 3
 
     def test_points_are_drawn_as_they_are_checked(self, monkeypatch):
-        evaluate, draw = inequalities.evaluate, inequalities.random_rational_point
+        numerators, draw = inequalities.exact_numerators, inequalities.random_rational_point
         evaluated = []
         drawn_after = []  # points evaluated before each random draw
 
-        def counting_evaluate(T, x):
+        def counting_numerators(forms, x):
             evaluated.append(x)
-            return evaluate(T, x)
+            return numerators(forms, x)
 
         def counting_draw(rng):
             drawn_after.append(len(evaluated))
             return draw(rng)
 
-        monkeypatch.setattr(inequalities, "evaluate", counting_evaluate)
+        monkeypatch.setattr(inequalities, "exact_numerators", counting_numerators)
         monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
         check_inequality(rid(IneqName.C32_I), samples=5, seed=1)
         ahead = len(inequalities._STRUCTURED_POINTS)
         assert drawn_after == [ahead + k for k in range(5)]
         assert len(evaluated) == ahead + 5 + 3
+        assert all(x[0] == x[1] == x[2] for x in evaluated[-3:])
+
+    def test_all_variants_share_each_point(self, monkeypatch):
+        numerators, draw = inequalities.exact_numerators, inequalities.random_rational_point
+        scaled, drawn = [], []
+
+        def counting_numerators(forms, x):
+            scaled.append(len(forms))
+            return numerators(forms, x)
+
+        def counting_draw(rng):
+            drawn.append(None)
+            return draw(rng)
+
+        monkeypatch.setattr(inequalities, "exact_numerators", counting_numerators)
+        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        outcomes = check_inequalities(CHECKED_VARIANTS, samples=50, seed=1, cfg=FAST)
+        ahead = len(inequalities._STRUCTURED_POINTS)
+        assert len(drawn) == 50
+        # Every point is scaled once for all 20 variants; the 3 diagonal
+        # points once for the two C32_i variants.
+        assert scaled == [20] * (ahead + 50) + [2] * 3
+        assert [rep.checked_points for rep in outcomes] == [
+            ahead + 50 + 3 * (iid.name is IneqName.C32_I) for iid in CHECKED_VARIANTS]
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             check_inequality(rid(IneqName.C33_I), samples=0)
+        with pytest.raises(ValueError):
+            check_inequalities(CHECKED_VARIANTS, samples=0)
+
+
+def reference_check(iid, samples, seed, cfg):
+    """check_inequality as one pass per variant: its own draws, one
+    ``evaluate`` Fraction per point; the text of a violation, else the report."""
+    rng = random.Random(seed)
+    report = inequalities.IneqReport()
+    points = [*inequalities._STRUCTURED_POINTS,
+              *(inequalities.random_rational_point(rng) for _ in range(samples))]
+    if iid.name is IneqName.C32_I:
+        points += [(t, t, t) for t in (F(1), F(-3, 7), F(11, 6))]
+    T = residual_tensor(iid)
+    for x in points:
+        value = evaluate(T, x)
+        report.checked_points += 1
+        nonzero = any(v != 0 for v in x)
+        diagonal = x[0] == x[1] == x[2]
+        at = "(" + ", ".join(str(format_scalar(v)) for v in x) + ")"
+        if value < 0:
+            return f"{iid.name.value}: residual {value} < 0 at {at}"
+        if value == 0 and nonzero:
+            if iid.strict or not diagonal:
+                return f"{iid.name.value}: unexpected zero residual at {at}"
+            report.equality_points += 1
+        if iid.name is IneqName.C32_I and diagonal and value != 0:
+            return f"{iid.name.value}: residual {value} != 0 on the diagonal at {at}"
+        if nonzero and (report.min_residual is None or value < report.min_residual):
+            report.min_residual = value
+    result = min_on_sphere(T, cfg)
+    report.oracle_min = result.min_value
+    report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
+    return report
+
+
+def as_outcome(result):
+    return str(result) if isinstance(result, inequalities.ViolationFound) else result
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_matches_a_pass_per_variant(seed):
+    outcomes = check_inequalities(CHECKED_VARIANTS, 300, seed, FAST)
+    for iid, got in zip(CHECKED_VARIANTS, outcomes, strict=True):
+        assert as_outcome(got) == reference_check(iid, 300, seed, FAST), iid.label
+
+
+def outcome_of(iid, samples, seed, cfg):
+    """check_inequality's report, or the text of its ViolationFound."""
+    try:
+        return check_inequality(iid, samples, seed, cfg)
+    except inequalities.ViolationFound as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, form", [
+    (IneqName.C33_I, ((1, 1, 1), F(0))),  # violated at a point
+    (IneqName.C33_IV, ((-1, -1, 1), F(3))),  # still positive, other minima
+], ids=["violated", "changed"])
+def test_a_broken_variant_leaves_the_others_alone(monkeypatch, name, form):
+    intact = check_inequalities(CHECKED_VARIANTS, 100, 5, FAST)
+    monkeypatch.setitem(inequalities._CLASS_FORM, name, form)
+    broken = check_inequalities(CHECKED_VARIANTS, 100, 5, FAST)
+    for iid, before, after in zip(CHECKED_VARIANTS, intact, broken, strict=True):
+        if iid.name is name:
+            assert as_outcome(after) == outcome_of(iid, 100, 5, FAST), iid.label
+            assert as_outcome(after) != as_outcome(before), iid.label
+        else:
+            assert after == before, iid.label
+
+
+@pytest.mark.parametrize("name, form, detail", [
+    (IneqName.C33_I, ((1, 1, 1), F(0)),
+     "C33_i: residual -633/625 < 0 at (1/5, -1/5, 1)"),
+    (IneqName.C32_II, ((-1, -1, -1), F(11, 6)),
+     "C32_ii: unexpected zero residual at (1, 1, 1)"),
+    (IneqName.C32_I, ((-1, -1, -1), F(2)),
+     "C32_i: residual 3 != 0 on the diagonal at (1, 1, 1)"),
+], ids=["negative", "zero", "diagonal"])
+def test_violation_details_print_exact_rationals(monkeypatch, capsys, name, form, detail):
+    monkeypatch.setitem(inequalities._CLASS_FORM, name, form)
+    with pytest.raises(inequalities.ViolationFound) as exc:
+        check_inequality(rid(name), samples=10)
+    assert str(exc.value) == detail
+    code = main(["--mode", "inequalities", "--samples", "10", "--format", "json",
+                 "--grid", "32", "--starts", "8"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert code == 2
+    assert {"inequality": name.value, "status": "violated", "detail": detail} in rows
