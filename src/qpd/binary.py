@@ -110,8 +110,9 @@ def classify_binary(T: BinaryQuartic) -> Verdict:
     """PD/PSD/neither for a general binary quartic.
 
     Assumes positive diagonal entries for the analytic conditions; a negative
-    diagonal refutes PSD outright and a zero diagonal falls back to the
-    numeric oracle with exact confirmation.
+    diagonal refutes PSD outright and a zero diagonal has its own closed
+    form.  A NotPSD witness that no small point gives comes from the numeric
+    oracle with exact confirmation, and is None if the oracle finds none.
     """
     a, e = T.t1111, T.t2222
     if a < 0:
@@ -131,12 +132,21 @@ def classify_binary(T: BinaryQuartic) -> Verdict:
 
 
 def _classify_degenerate(T: BinaryQuartic) -> Verdict:
-    """Diagonal entry exactly zero: PD is impossible (a unit vector gives 0);
-    decide PSD vs not via the oracle plus exact confirmation."""
-    witness = _negative_point(T)
-    if witness is not None:
-        return Verdict(Classification.NOT_PSD, "degenerate-diagonal", witness)
-    zero_at = (1, 0) if T.t1111 == 0 else (0, 1)
+    """Diagonal entry exactly zero: PD is impossible (a unit vector gives 0).
+
+    For a = 0 the form is 4b x^3 y + y^2 (6c x^2 + 4d xy + e y^2), which is
+    PSD iff b = 0, c >= 0 and 2d^2 <= 3ce; e = 0 mirrors it.  Only a form
+    that is not PSD asks the oracle, for a witness.
+    """
+    a, b, c, d, e = T.coeffs
+    if a == 0:
+        psd = b == 0 and c >= 0 and 2 * d * d <= 3 * c * e
+    else:
+        psd = d == 0 and c >= 0 and 2 * b * b <= 3 * a * c
+    if not psd:
+        return Verdict(Classification.NOT_PSD, "degenerate-diagonal", _negative_point(T))
+    zero_at = (1, 0) if a == 0 else (0, 1)
+    # Recorded reports carry this branch name, though no oracle is asked here.
     return Verdict(Classification.PSD_NOT_PD, "degenerate-diagonal-oracle", zero_at)
 
 

@@ -14,11 +14,14 @@ grid resolution, so they are built once per ``(dim, grid_resolution)`` and
 cached (read-only); the seed values of a tensor are then one matrix-vector
 product with its coefficient vector.
 
-Every monomial and gradient entry is gathered from one power table
-``X[i, j] ** e`` (e = 0..4) per point set, so a refinement step makes
-n * dim * 5 ``pow`` calls instead of one per monomial entry; the products and
-mat-vecs keep the order of the direct formulas, so results are unchanged bit
-for bit.
+Refinement evaluates f and its gradient together, in one kernel built per
+``_refine`` call: a precomputed flat index gathers every monomial of f and of
+each df/dx_k from one power table ``X[i, j] ** e`` (e = 0..4) with one
+``take``, and the gathered factors are multiplied in x_1, x_2, ... order.  f
+and each df/dx_k are then one mat-vec over a contiguous (n, m) matrix, so
+products and sums keep the order of the direct formulas and the results equal
+theirs bit for bit.  A backtracking candidate is evaluated once, and the
+gradient of an accepted point is carried into the next iteration.
 """
 from __future__ import annotations
 
@@ -102,50 +105,44 @@ def _float_terms(T: Quartic):
     return C, _exponents(T.dim)
 
 
-def _powers(X: np.ndarray) -> np.ndarray:
-    """Power table P[i, j, e] = X[i, j] ** e for e = 0..4, the only powers a
-    quartic's monomials use."""
-    return X[:, :, None] ** np.arange(5)
+def _gather(tables: np.ndarray, n: int):
+    """The monomials of n points, as a function X -> M with
+    M[s, i, m] = prod_j X[i, j] ** tables[s, m, j], C-contiguous.
 
-
-def _monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """M[..., i, m] = prod_j X[i, j] ** E[..., m, j], gathered from the power
-    table P of X.
-
-    The factors are multiplied in ``np.prod``'s order (x_1's, then x_2's, ...),
-    so M equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit.  M is
-    made C-contiguous because the gather is not, and BLAS sums a mat-vec over
-    a differently ordered matrix in a different order.
+    Every entry is gathered by one ``take`` with an index built here, from the
+    power table ``X[:, :, None] ** arange(5)`` (a quartic's monomials use no
+    other powers), and the factors are multiplied in x_1, x_2, ... order, so
+    M[s] equals ``np.prod(X[:, None, :] ** tables[s], axis=-1)`` bit for bit.
     """
-    M = P[:, 0, E[..., 0]]
-    for j in range(1, E.shape[-1]):
-        M = M * P[:, j, E[..., j]]
-    return np.ascontiguousarray(np.moveaxis(M, 0, -2))
+    dim = tables.shape[-1]
+    starts = 5 * (dim * np.arange(n) + np.arange(dim)[:, None])  # of X[i, j]'s powers
+    index = starts[:, None, :, None] + np.moveaxis(tables, -1, 0)[:, :, None, :]
+    factors = np.empty(index.shape)  # reused: each call's M is a new array
+    # The index is in range; "clip" spares take a buffered bounds check.
+    return lambda X: np.multiply.reduce(
+        (X[:, :, None] ** np.arange(5)).take(index, out=factors, mode="clip"), axis=0)
 
 
-def _values(P: np.ndarray, C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    # Overflow to inf/nan is tolerated here; callers reject non-finite values.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _monomials(P, E) @ C
+def _kernel(C: np.ndarray, E: np.ndarray, n: int):
+    """f and its gradient at n points, as one function X -> (f, G).
 
-
-def _gradient(P: np.ndarray, Ek: np.ndarray, W: np.ndarray) -> np.ndarray:
-    mono = _monomials(P, Ek)
-    G = np.empty(P.shape[:2])
-    for k in range(len(W)):
-        G[:, k] = mono[k] @ W[k]
-    return G
-
-
-def _grad_tables(C: np.ndarray, E: np.ndarray):
-    """Per-coordinate exponent table Ek[k] (E with column k lowered by one,
-    floored at 0) and weights W[k] = C * E[:, k], so that
-    df/dx_k = prod_j x_j ** Ek[k, m, j] @ W[k]."""
+    One gather gives the monomials of E and of E with column k lowered by
+    one (floored at 0) for each k, so f = M[0] @ C and df/dx_k = M[1 + k] @
+    W[k] with W[k] = C * E[:, k].  Each is one BLAS mat-vec over a contiguous
+    (n, m) matrix (``np.matmul`` makes one per k), which sums in a fixed
+    order, and G is made C-contiguous because numpy sums a row of a
+    differently ordered array in another order.
+    """
     dim = E.shape[1]
-    Ek = np.repeat(E[None], dim, axis=0)
-    for k in range(dim):
-        Ek[k, :, k] = np.maximum(Ek[k, :, k] - 1, 0)
-    return Ek, E.T * C
+    lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
+    monomials = _gather(np.maximum(E - lower, 0), n)
+    W = E.T * C
+
+    def kernel(X):
+        M = monomials(X)
+        return M[0] @ C, np.matmul(M[1:], W[:, :, None])[..., 0].T.copy()
+
+    return kernel
 
 
 def _seed_grid(dim: int, n: int) -> np.ndarray:
@@ -168,7 +165,10 @@ def _seed_table(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Seed grid and its monomial matrix for every tensor of dimension dim,
     both read-only."""
     seeds = _seed_grid(dim, n)
-    M = _monomials(_powers(seeds), _exponents(dim))
+    E = _exponents(dim)[None]
+    # In blocks of rows, so that no gather index spans the whole grid.
+    blocks = [seeds[i:i + 4096] for i in range(0, len(seeds), 4096)]
+    M = np.concatenate([_gather(E, len(b))(b)[0] for b in blocks])
     seeds.flags.writeable = False
     M.flags.writeable = False
     return seeds, M
@@ -192,36 +192,36 @@ def _refine(X, C, E):
     start is frozen, or after ``_REFINE_ITERS`` iterations.  Returns the
     points, their values and the number of iterations run.
     """
-    P = _powers(X)  # carried along with X, so each iteration builds one table
-    f = _values(P, C, E)
-    Ek, W = _grad_tables(C, E)
+    kernel = _kernel(C, E, len(X))
     step = np.full(len(X), 0.1)
     stall = np.zeros(len(X), dtype=int)
     iterations = 0
-    while iterations < _REFINE_ITERS:
-        G = _gradient(P, Ek, W)
-        Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
-        gnorm = np.linalg.norm(Gt, axis=1)
-        active = (gnorm > _REFINE_TOL) & (stall < _STALL)
-        if not active.any():
-            break
-        iterations += 1
-        for _bt in range(60):
-            cand = X - (step * active)[:, None] * Gt
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            Pc = _powers(cand)
-            fc = _values(Pc, C, E)
-            ok = active & (fc <= f - 1e-4 * step * gnorm**2)
-            if ok.any() or not active.any():
+    # Overflow to inf/nan is tolerated here; min_on_sphere has checked the
+    # seed values.  Row norms use np.linalg.norm's own formula.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, G = kernel(X)
+        while iterations < _REFINE_ITERS:
+            Gt = G - np.add.reduce(G * X, axis=1, keepdims=True) * X
+            gnorm = np.sqrt(np.add.reduce(Gt * Gt, axis=1))
+            active = (gnorm > _REFINE_TOL) & (stall < _STALL)
+            if not active.any():
                 break
-            step = np.where(active, step / 2, step)
-            active = active & (step > 1e-18)
-        X = np.where(ok[:, None], cand, X)
-        P = np.where(ok[:, None, None], Pc, P)
-        stall = np.where(ok & (fc < f), 0, stall + 1)
-        f = np.where(ok, fc, f)
-        step = np.where(ok, step * 1.5, step / 2)
-        step = np.clip(step, 1e-18, 1e3)
+            iterations += 1
+            for _bt in range(60):
+                cand = X - (step * active)[:, None] * Gt
+                cand /= np.sqrt(np.add.reduce(cand * cand, axis=1, keepdims=True))
+                fc, Gc = kernel(cand)
+                ok = active & (fc <= f - 1e-4 * step * gnorm**2)
+                if ok.any() or not active.any():
+                    break
+                step = np.where(active, step / 2, step)
+                active = active & (step > 1e-18)
+            X = np.where(ok[:, None], cand, X)
+            G = np.where(ok[:, None], Gc, G)  # the gradient at the accepted points
+            stall = np.where(ok & (fc < f), 0, stall + 1)
+            f = np.where(ok, fc, f)
+            step = np.where(ok, step * 1.5, step / 2)
+            step = np.minimum(np.maximum(step, 1e-18), 1e3)
     return X, f, iterations
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 from qpd.binary import classify_binary, classify_sign_binary, invariants_IJ
-from qpd.inequalities import IneqName, InequalityId, check_inequality
+from qpd.inequalities import IneqName, IneqReport, InequalityId, check_inequalities
 from qpd.oracle import NumericVerdict, OracleConfig, min_on_sphere, verify_verdict
 from qpd.tensors import BinaryQuartic, build_tensor, evaluate
 from qpd.ternary import (
@@ -139,9 +139,10 @@ def test_criterion_5_invariants():
 # exactly for the strict ones.
 
 def test_criterion_6_inequalities():
-    for name in IneqName:
-        iid = InequalityId(name, frozenset())
-        report = check_inequality(iid, samples=10**4, seed=2026)
+    iids = [InequalityId(name, frozenset()) for name in IneqName]
+    reports = check_inequalities(iids, samples=10**4, seed=2026)
+    for iid, report in zip(iids, reports):
+        assert isinstance(report, IneqReport), report  # not a ViolationFound
         assert report.checked_points >= 10**4
         assert report.min_residual is not None and report.min_residual >= 0
         if iid.strict:

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qpd import binary
 from qpd.binary import (
     NotInSignClass,
     _radical_sign,
@@ -81,6 +84,58 @@ class TestClassifyBinary:
     def test_perfect_square_plus(self):
         # (x^2 + y^2)^2 is PD
         assert classify_binary(BinaryQuartic(1, 0, F(1, 3), 0, 1)).classification is PD
+
+
+def negative_t(b, c, d, e):
+    """A rational t with g(t) = 4b t^3 + 6c t^2 + 4d t + e < 0, or None when
+    g is nonnegative.  Beyond R, larger than every root (Cauchy), g has the
+    sign of its leading term; a quadratic with c > 0 is least at its
+    vertex."""
+    def g(t):
+        return 4 * b * t**3 + 6 * c * t**2 + 4 * d * t + e
+    if b or c < 0 or (c == 0 and d):
+        lead = abs(4 * b or 6 * c or 4 * d)
+        R = 1 + (6 * abs(c) + 4 * abs(d) + abs(e)) / lead
+        candidates = (R, -R)
+    else:
+        candidates = (-d / (3 * c),) if c else ()
+    return next((t for t in candidates if g(t) < 0), None)
+
+
+coefficients = st.fractions(-6, 6, max_denominator=6)
+
+
+class TestDegenerate:
+    @given(st.booleans(), coefficients, coefficients, coefficients,
+           st.fractions(0, 6, max_denominator=6))
+    @settings(max_examples=200, deadline=None)
+    @example(False, 0, 1, 3, 6)  # 6 (x + y)^2 y^2: 2d^2 = 3ce, PSD
+    @example(True, 0, 1, 3, 6)
+    @example(False, 0, 0, 0, 2)  # 2 y^4
+    @example(True, 0, 0, 1, 2)  # c = 0, d != 0: not PSD
+    def test_rule_matches_exact_evaluation(self, mirrored, b, c, d, e):
+        """f(t, 1) = g(t) for a = 0, and f(1, t) = g(t) for the mirrored form
+        with e = 0: the verdict is NotPSD exactly when g takes a negative
+        value, which evaluate confirms at that point."""
+        T = BinaryQuartic(e, d, c, b, 0) if mirrored else BinaryQuartic(0, b, c, d, e)
+        t = negative_t(b, c, d, e)
+        v = classify_binary(T)
+        if t is None:
+            assert (v.classification, v.branch) == (PSD, "degenerate-diagonal-oracle")
+            assert evaluate(T, v.witness) == 0
+        else:
+            assert (v.classification, v.branch) == (NPSD, "degenerate-diagonal")
+            assert evaluate(T, (1, t) if mirrored else (t, 1)) < 0
+            assert v.witness is None or evaluate(T, v.witness) < 0
+
+    def test_no_oracle_witness_is_still_not_psd(self, monkeypatch):
+        """y^2 (6x^2 + 18xy + 13y^2) is negative only for x/y in about
+        (-1.79, -1.21), where no small probe point lies."""
+        monkeypatch.setattr(binary, "negative_witness", lambda T, cfg: None)
+        T = BinaryQuartic(0, 0, 1, F(9, 2), 13)
+        assert evaluate(T, (F(-3, 2), 1)) < 0
+        v = classify_binary(T)
+        assert (v.classification, v.branch, v.witness) == (NPSD, "degenerate-diagonal", None)
 
 
 def square_of_quadratic(alpha, beta, gamma):

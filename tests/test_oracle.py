@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 from itertools import product
@@ -13,15 +14,12 @@ from qpd.oracle import (
     OracleConfig,
     _exponents,
     _float_terms,
-    _grad_tables,
-    _gradient,
+    _gather,
+    _kernel,
     _lowest,
-    _monomials,
-    _powers,
     _refine,
     _seed_grid,
     _seed_table,
-    _values,
     min_on_sphere,
     negative_witness,
     rationalize_and_confirm,
@@ -38,12 +36,12 @@ CFG = OracleConfig(grid_resolution=64, starts=8)
 
 def _eval_batch(X, C, E):
     """f at each row of X, as the oracle evaluates it."""
-    return _values(_powers(X), C, E)
+    return _kernel(C, E, len(X))(X)[0]
 
 
-def _grad_batch(X, Ek, W):
+def _grad_batch(X, C, E):
     """The gradient at each row of X, as the oracle evaluates it."""
-    return _gradient(_powers(X), Ek, W)
+    return _kernel(C, E, len(X))(X)[1]
 
 
 def case1_tensor():
@@ -146,7 +144,7 @@ class TestSeedCache:
             Ek = E.copy()
             Ek[:, k] = np.maximum(Ek[:, k] - 1, 0)
             expected[:, k] = np.prod(X[:, None, :] ** Ek[None, :, :], axis=2) @ (C * E[:, k])
-        assert np.array_equal(_grad_batch(X, *_grad_tables(C, E)), expected)
+        assert np.array_equal(_grad_batch(X, C, E), expected)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_fused_gradient_matches_exact(self, dim):
@@ -154,7 +152,7 @@ class TestSeedCache:
         points = [(F(1), F(-2, 3), F(1, 5)), (F(-3, 7), F(4, 9), F(2)), (F(1, 2), F(0), F(-1))]
         points = [p[:dim] for p in points]
         C, E = _float_terms(T)
-        G = _grad_batch(np.array(points, dtype=float), *_grad_tables(C, E))
+        G = _grad_batch(np.array(points, dtype=float), C, E)
         for row, p in zip(G, points):
             exact = [float(g) for g in gradient(T, p)]
             assert row.tolist() == pytest.approx(exact, rel=1e-12, abs=1e-10)
@@ -197,17 +195,20 @@ def same_bits(a, b):
 
 
 class TestPowerTable:
-    """Evaluation from one power table equals the direct pow-per-entry
-    formulas bit for bit, signed zeros included."""
+    """The fused kernel's gather from one power table equals the direct
+    pow-per-entry formulas bit for bit, signed zeros included."""
 
     @pytest.mark.parametrize("points", sorted(POINT_SETS))
     def test_monomials_and_values(self, points):
         dim, make = POINT_SETS[points]
         X = make()
         C, E = _float_terms(DIM_TENSORS[dim])
-        M = _monomials(_powers(X), E)
+        # E and, for each k, E with column k lowered: the kernel's tables.
+        tables = [E] + [np.maximum(E - np.eye(dim, dtype=int)[k], 0) for k in range(dim)]
+        M = _gather(np.stack(tables), len(X))(X)
         assert M.flags.c_contiguous
-        assert same_bits(M, direct_monomials(X, E))
+        for Ms, Es in zip(M, tables):
+            assert same_bits(Ms, direct_monomials(X, Es))
         assert same_bits(_eval_batch(X, C, E), direct_monomials(X, E) @ C)
 
     @pytest.mark.parametrize("points", sorted(POINT_SETS))
@@ -215,7 +216,9 @@ class TestPowerTable:
         dim, make = POINT_SETS[points]
         X = make()
         C, E = _float_terms(DIM_TENSORS[dim])
-        assert same_bits(_grad_batch(X, *_grad_tables(C, E)), loop_gradient(X, C, E))
+        G = _grad_batch(X, C, E)
+        assert G.flags.c_contiguous
+        assert same_bits(G, loop_gradient(X, C, E))
 
     def test_default_seed_table(self):
         seeds, M = _seed_table(3, OracleConfig().grid_resolution)
@@ -290,9 +293,21 @@ SIGN_CLASS = [SignClassTensor(*s, *c, b).to_quartic()
               for c in product((1, -1), repeat=3)]
 
 
+# SHA-256 over the default-oracle results of SIGN_CLASS: each min value and
+# argmin as float.hex, the iterations and the witness.  It was recorded with
+# separate value and gradient evaluations, one per-coordinate mat-vec each,
+# which the fused kernel must reproduce bit for bit.
+SIGN_CLASS_DIGEST = "2a28131ebbcf3f67fef4c0d04e7aec292d681072107e68555b11bc4739196f87"
+
+
 def test_refinement_stops_before_the_cap():
+    digest = hashlib.sha256()
     for T in SIGN_CLASS:
-        assert 0 < min_on_sphere(T, OracleConfig()).iterations < oracle._REFINE_ITERS
+        r = min_on_sphere(T, OracleConfig())
+        assert 0 < r.iterations < oracle._REFINE_ITERS
+        digest.update(repr((r.min_value.hex(), [v.hex() for v in r.argmin],
+                            r.iterations, r.witness)).encode())
+    assert digest.hexdigest() == SIGN_CLASS_DIGEST
 
 
 @pytest.mark.parametrize("T", SIGN_CLASS[::16] + list(DIM_TENSORS.values()))
