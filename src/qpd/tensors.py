@@ -339,7 +339,7 @@ def tensor_from_json(text: str) -> Quartic:
         raise ParseError('"entries" must be an object')
     parsed: dict[MultiIndex, Scalar] = {}
     for key, value in entries.items():
-        if not (isinstance(key, str) and len(key) == ORDER and key.isdigit()):
+        if not (isinstance(key, str) and len(key) == ORDER and key.isascii() and key.isdigit()):
             raise ParseError(f"entry key {key!r} is not a 4-digit string")
         digits = tuple(int(ch) for ch in key)
         if any(not 1 <= d <= dim for d in digits):

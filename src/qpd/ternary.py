@@ -7,18 +7,19 @@ conditions III and IV decide the boundary levels.
 
 Every NotPSD witness comes from the paper's necessity arguments: each states a
 counterexample point for a representative pattern, and a per-pattern table of
-the 24 relabelings carries it to the other patterns of its orbit.  No numeric
-search is made here.
+the 24 relabelings carries it to the other patterns of its orbit.  A
+relabeling permutes and negates the six sign bits; no tensor is built to
+compute it, and no numeric search is made here.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable, Optional
 
-from .tensors import MULTI_INDICES, Scalar, TernaryQuartic, Vector, evaluate
+from .tensors import Scalar, TernaryQuartic, Vector, evaluate
 from .verdicts import Classification, ClassVerdict
 
 
@@ -127,59 +128,57 @@ _GROUP = tuple(
 )
 
 
-def transform(T: TernaryQuartic, perm: tuple[int, int, int], signs: tuple[int, int, int]) -> TernaryQuartic:
-    """The tensor of x -> T(y) with y_{perm[i]} = signs[i] * x_i.
-
-    perm is a permutation of (1,2,3) given as the images of (1,2,3).
-    """
-    pm = {1: perm[0], 2: perm[1], 3: perm[2]}
-    entries = {}
-    for midx in MULTI_INDICES[3]:
-        src = tuple(sorted(pm[i] for i in midx))
-        sgn = 1
-        for i in midx:
-            sgn *= signs[i - 1]
-        entries[midx] = sgn * T.coeff(src)
-    return TernaryQuartic.from_map(entries)
-
-
 @functools.cache
 def _relabelings(pattern: tuple) -> tuple:
     """((perm, sigma, image pattern), ...) for the sign pattern s + c, one
     entry per element of _GROUP in its order.
 
-    The image pattern is s + c of ``transform(T, perm, sigma)``.  A relabeling
+    The image is the pattern of x -> T(y) with y_{perm[i]} = sigma[i] * x_i,
+    computed on the six bits: its s_ij is sigma_i sigma_j times the s of the
+    pair (perm[i], perm[j]), negated when perm reverses that pair, and its c_k
+    is the product of the other two sigma times c at perm[k].  A relabeling
     leaves the level b in place, so the table does not depend on it.
     """
-    T = SignClassTensor(*pattern, Fraction(1)).to_quartic()
+    s = dict(zip(CUBIC_PAIRS, pattern[:3]))
+    c = pattern[3:]
     table = []
     for perm, sigma in _GROUP:
-        image = validate_class(transform(T, perm, sigma))
-        table.append((perm, sigma, image.s + image.c))
+        image = []
+        for i, j in CUBIC_PAIRS:
+            p, q = perm[i - 1], perm[j - 1]
+            image.append(sigma[i - 1] * sigma[j - 1] * (s[p, q] if p < q else -s[q, p]))
+        sign = sigma[0] * sigma[1] * sigma[2]
+        image += [sign * sigma[k] * c[perm[k] - 1] for k in range(3)]
+        table.append((perm, sigma, tuple(image)))
     return tuple(table)
 
 
-@functools.cache
-def _orbit_condition(literal, pattern: tuple) -> bool:
-    """Whether some relabeling (index permutation and/or variable negation)
-    of the sign pattern s + c satisfies the literal condition.
+def _closure(literal: Callable[[SignClassTensor], bool]) -> frozenset:
+    """The sign patterns s + c that some relabeling (index permutation and/or
+    variable negation) carries onto one satisfying the literal condition.
 
     The literal conditions fix a representative; negating one variable moves
     the c-pattern as well as the s-pattern, so the set they carve out is only
     meaningful up to this closure.  Neither condition reads the level b.
     """
-    return any(
-        literal(SignClassTensor(*image, Fraction(1)))
+    return frozenset(
+        image
+        for pattern in product((1, -1), repeat=6)
+        if literal(SignClassTensor(*pattern, Fraction(1)))
         for _, _, image in _relabelings(pattern)
     )
 
 
+_ORBIT_III = _closure(check_condition_iii)
+_ORBIT_IV = _closure(check_condition_iv)
+
+
 def condition_iii_up_to_relabeling(S: SignClassTensor) -> bool:
-    return _orbit_condition(check_condition_iii, S.s + S.c)
+    return S.s + S.c in _ORBIT_III
 
 
 def condition_iv_up_to_relabeling(S: SignClassTensor) -> bool:
-    return _orbit_condition(check_condition_iv, S.s + S.c)
+    return S.s + S.c in _ORBIT_IV
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 ``gradient`` is the term-by-term gradient of a quartic form, the reference
 for the oracle's vectorized gradient and for the Euler identity.
+``transform`` relabels a ternary tensor entry by entry, the reference for the
+sign-bit relabelings of ``qpd.ternary``.
 ``rewrite_forms`` evaluates a sign-class form along four algebraic routes
 other than ``qpd.tensors.evaluate``.
 """
 from collections import Counter
 from typing import Sequence
 
-from qpd.tensors import Quartic, Scalar, TernaryQuartic, Vector, check_dim
+from qpd.tensors import MULTI_INDICES, Quartic, Scalar, TernaryQuartic, Vector, check_dim
 from qpd.ternary import validate_class
 
 
@@ -27,6 +29,22 @@ def gradient(T: Quartic, x: Sequence[Scalar]) -> Vector:
                 mono = mono * x[j - 1] ** (ej - (1 if j == i else 0))
             g[i - 1] = g[i - 1] + w * c * mono
     return tuple(g)
+
+
+def transform(T: TernaryQuartic, perm: tuple[int, int, int], signs: tuple[int, int, int]) -> TernaryQuartic:
+    """The tensor of x -> T(y) with y_{perm[i]} = signs[i] * x_i.
+
+    perm is a permutation of (1,2,3) given as the images of (1,2,3).
+    """
+    pm = {1: perm[0], 2: perm[1], 3: perm[2]}
+    entries = {}
+    for midx in MULTI_INDICES[3]:
+        src = tuple(sorted(pm[i] for i in midx))
+        sgn = 1
+        for i in midx:
+            sgn *= signs[i - 1]
+        entries[midx] = sgn * T.coeff(src)
+    return TernaryQuartic.from_map(entries)
 
 
 # The four expansion centers used by the rewriting identities.

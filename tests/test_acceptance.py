@@ -18,11 +18,10 @@ from qpd.ternary import (
     check_condition_iii,
     classify_ternary,
     condition_iii_up_to_relabeling,
-    transform,
 )
 from qpd.verdicts import Classification
 
-from helpers import gradient, rewrite_forms
+from helpers import gradient, rewrite_forms, transform
 
 PD = Classification.POSITIVE_DEFINITE
 PSD = Classification.PSD_NOT_PD

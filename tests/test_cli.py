@@ -119,6 +119,16 @@ def test_unreadable_file_exits_cleanly(tmp_path, capsys, content):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["\u0661\u0661\u0661\u0661", "\u00b9\u00b9\u00b9\u00b9"],
+                         ids=["arabic-indic", "superscript"])
+def test_non_ascii_digit_key_exits_cleanly(tmp_path, capsys, key):
+    path = write_tensor(tmp_path, "key.json", 2, {"1111": 1, key: 2, "2222": 1})
+    assert main([path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     assert main(["/does/not/exist.json"]) == 1
 

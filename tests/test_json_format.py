@@ -44,6 +44,9 @@ def test_load_from_file(tmp_path):
         json.dumps({"dim": 2, "order": 4, "entries": {"1112": "x/y"}}),
         json.dumps({"dim": 2, "order": 4, "entries": {"1112": True}}),
         json.dumps({"dim": 2, "order": 4, "entries": {"1112": [1]}}),
+        # Unicode digits that str.isdigit accepts but are not ASCII
+        json.dumps({"dim": 2, "order": 4, "entries": {"1111": 1, "\u0661\u0661\u0661\u0661": 2}}),
+        json.dumps({"dim": 2, "order": 4, "entries": {"\u00b9\u00b9\u00b9\u00b9": 1}}),
     ],
 )
 def test_parse_errors(doc):

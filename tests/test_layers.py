@@ -6,6 +6,7 @@ import statement counts, including those inside function bodies; the package
 ``__init__`` is the public facade and may import any module.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ LAYER = {
     "cli": 5,
 }
 PACKAGE = Path(qpd.__file__).parent
+SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def package_imports(path):
@@ -107,3 +109,24 @@ def test_import_scan_sees_function_bodies(tmp_path):
         "import numpy\n"
     )
     assert package_imports(source) == {"oracle", "binary", "ternary", "cli"}
+
+
+def traced_functions(path):
+    """(module, function) pairs of the ``SPANS`` table in a span recorder
+    source file, read without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            table = ast.literal_eval(node.value)
+            return sorted((m, f) for m, fns in table.items() for f in fns)
+    raise AssertionError(f"no SPANS table in {path}")
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark's span recorder wraps is still defined,
+    so deleting or renaming one fails here and not only in a traced run."""
+    if not SPANS_FILE.exists():
+        pytest.skip("perfbench/spans.py is not in this checkout")
+    missing = [f"{m}.{f}" for m, f in traced_functions(SPANS_FILE)
+               if not callable(getattr(importlib.import_module(f"qpd.{m}"), f, None))]
+    assert missing == []

@@ -7,9 +7,11 @@ import pytest
 
 from qpd.tensors import build_tensor, evaluate
 from qpd.ternary import (
+    _GROUP,
     _LEVELS,
     _REPRESENTATIVE_S,
     _SIGN_VECTORS,
+    _relabelings,
     NotInClass,
     SignClassTensor,
     check_condition_iii,
@@ -18,10 +20,11 @@ from qpd.ternary import (
     condition_iii_up_to_relabeling,
     condition_iv_up_to_relabeling,
     proof_witness,
-    transform,
     validate_class,
 )
 from qpd.verdicts import Classification
+
+from helpers import transform
 
 PD = Classification.POSITIVE_DEFINITE
 PSD = Classification.PSD_NOT_PD
@@ -158,6 +161,33 @@ class TestConditions:
         assert len(literal) == 2
         assert len(orbit) == 8
         assert set(literal) <= set(orbit)
+
+
+class TestRelabelings:
+    def test_bit_action_equals_the_relabeled_tensor(self):
+        """The sign-bit images equal the patterns of the relabeled tensors,
+        for every pattern and every group element, in _GROUP order."""
+        for s, c in ALL_PATTERNS:
+            T = tensor(s, c, F(2))
+            expected = []
+            for perm, sigma in _GROUP:
+                image = validate_class(transform(T, perm, sigma))
+                expected.append((perm, sigma, image.s + image.c))
+            assert _relabelings(s + c) == tuple(expected)
+
+    def test_orbit_structure(self):
+        """The 64 patterns fall into four orbits of sizes 8, 8, 24 and 24;
+        the closures of conditions III and IV hold 8 and 40 patterns."""
+        orbits = {frozenset(image for _, _, image in _relabelings(s + c))
+                  for s, c in ALL_PATTERNS}
+        assert sorted(map(len, orbits)) == [8, 8, 24, 24]
+        assert set().union(*orbits) == {s + c for s, c in ALL_PATTERNS}
+        for condition, size in ((condition_iii_up_to_relabeling, 8),
+                                (condition_iv_up_to_relabeling, 40)):
+            closure = {s + c for s, c in ALL_PATTERNS
+                       if condition(SignClassTensor(*s, *c, F(2)))}
+            assert len(closure) == size
+            assert all(o <= closure or not o & closure for o in orbits)
 
 
 class TestClassify:
