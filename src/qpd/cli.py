@@ -177,11 +177,10 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
 
 
 def _run_inequalities(args, cfg: OracleConfig) -> int:
-    try:
-        outcomes = ineq.check_inequalities(ineq.CHECKED_VARIANTS, args.samples, args.seed, cfg)
-    except ValueError as exc:  # a bad --samples
-        print(f"error: {exc}", file=sys.stderr)
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
         return 1
+    outcomes = ineq.check_inequalities(ineq.CHECKED_VARIANTS, args.samples, args.seed, cfg)
     results = []
     failures = 0
     for iid, rep in zip(ineq.CHECKED_VARIANTS, outcomes):

@@ -14,11 +14,16 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
-from .oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
-from .tensors import Scalar, TernaryQuartic, evaluate, exact_numerators, format_scalar
+import numpy as np
+
+from .oracle import OracleConfig, _gather, min_on_sphere, rationalize_and_confirm
+from .tensors import (
+    EXPONENTS, Scalar, TernaryQuartic, evaluate, exact_numerators, format_scalar,
+    integer_point,
+)
 from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
 
 
@@ -142,6 +147,57 @@ class IneqReport:
     oracle_exact: Optional[Fraction] = None
 
 
+# Sample points are checked a chunk of at most _CHUNK points at a time.  A
+# chunk's float arrays take about 1.5 MB each, and at most one chunk is drawn
+# ahead of its check.
+_CHUNK = 4096
+# A point whose scaled integers L or n reach _FLOAT_LIMIT is checked exactly.
+_FLOAT_LIMIT = 2**52
+_TABLES = np.asarray(EXPONENTS[3])[None]
+# Error bound of the float residuals (Higham, Accuracy and Stability of
+# Numerical Algorithms, section 3.1; u = 2**-53, gamma_k = k*u / (1 - k*u)).
+# The entries of n are integers below 2**52, so exact in float64, and every
+# monomial of M is a nonzero integer or 0, so nothing underflows.  Allow each
+# power n_j**e 4 ulps (relative 8u; pow is good to about one ulp), two
+# rounded products per monomial and one rounding of each integer weight in
+# K.  A dot product of 15 terms in any order, FMA or not, adds gamma_15 of
+# the sum of |terms|.  So the computed F is within
+#   ((1 + 8u)**3 * (1 + u)**3 * (1 + gamma_15) - 1) * (|M| @ |K|.T) < 43u * (|M| @ |K|.T)
+# of the exact numerator N, with |M| and |K| as computed and summed exactly;
+# their computed product is at most gamma_15 below that.  The bound B uses
+# 128u, a margin of almost three, and 2**-46 is a power of two, so scaling
+# by it is exact.
+_ERROR = 2.0**-46
+
+
+def _settled(scaled, K: np.ndarray, c32: np.ndarray) -> np.ndarray:
+    """The (point, variant) pairs of one chunk that need no exact residual.
+
+    scaled holds each point's ``integer_point``; K the variants' integer
+    weights in ``EXPONENTS[3]`` order, one row per variant; c32 flags the
+    C32_i variants.  A pair is settled when its float residual F = M @ K.T is
+    certainly positive, |F| exceeding its error bound B, and certainly above
+    the value N / L**4 of some other point, so it is neither a violation nor
+    the chunk's least residual.  Zero, negative and undecided residuals,
+    C32_i on the diagonal (which must vanish) and points with a scaled
+    integer of _FLOAT_LIMIT or more are never settled.
+    """
+    small = [L < _FLOAT_LIMIT and max(map(abs, n)) < _FLOAT_LIMIT for L, n in scaled]
+    # A point checked exactly gets the row 0, where F = B = 0 settles nothing.
+    X = np.array([n if ok else (0, 0, 0) for (_, n), ok in zip(scaled, small)], dtype=float)
+    L4 = np.array([float(L**4) if ok else 1.0 for (L, _), ok in zip(scaled, small)])[:, None]
+    M = _gather(_TABLES, len(X))(X)[0]
+    F = M @ K.T
+    B = _ERROR * (np.abs(M) @ np.abs(K).T)
+    diagonal = np.array([_on_diagonal(n) for _, n in scaled])
+    positive = (F > B) & ~(diagonal[:, None] & c32)
+    # N / L**4 lies in [(F - B) / L**4, (F + B) / L**4].  Widening B to 2B
+    # covers the rounding of F -+ 2B, of L**4 and of the division, all within
+    # 3u(|F| + 2B) <= 9u|F| < B where F > B.
+    least = np.where(positive, (F + 2 * B) / L4, np.inf).min(axis=0)
+    return positive & ((F - 2 * B) / L4 > least)
+
+
 def check_inequalities(
     iids: Sequence[InequalityId], samples: int, seed: int = 0,
     cfg: OracleConfig = OracleConfig(),
@@ -149,6 +205,11 @@ def check_inequalities(
     """Check each variant in iids as check_inequality does, in one pass over
     the points: each point is drawn and scaled to integers once, then checked
     against every variant that has not yet failed.
+
+    A chunk of points is checked against all live variants by one float64
+    product; ``exact_numerators`` decides every pair whose sign that cannot
+    settle, every candidate for a variant's least residual and every
+    violation, so the reports equal those of exact evaluation at every point.
 
     Returns, in the order of iids, each variant's IneqReport or the
     ViolationFound its own check would raise.
@@ -158,43 +219,52 @@ def check_inequalities(
     rng = random.Random(seed)
     tensors = [residual_tensor(iid) for iid in iids]
     forms = [T.integer_form for T in tensors]
+    K = np.array([[float(w * c * D) for _, w, c in T.terms()]
+                  for T, (D, _) in zip(tensors, forms)])
+    c32 = np.array([iid.name is IneqName.C32_I for iid in iids])
     outcomes = [IneqReport() for _ in iids]
     minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value
 
     def feed(live, points):
-        """Check points against the variants live (indices into iids) until
-        each has failed; return those still standing."""
-        for x in points:
-            if not live:
-                break
-            nonzero, diagonal = any(x), _on_diagonal(x)
-            # The denominator D_t * L**4 is positive, so N has f_t(x)'s sign.
-            L4, numerators = exact_numerators([forms[t] for t in live], x)
-            failed = False
-            for t, N in zip(live, numerators):
-                iid, report = iids[t], outcomes[t]
-                report.checked_points += 1
-                if N < 0:
-                    problem = f"residual {Fraction(N, forms[t][0] * L4)} < 0"
-                elif N == 0 and nonzero and (iid.strict or not diagonal):
-                    problem = "unexpected zero residual"
-                elif N != 0 and diagonal and iid.name is IneqName.C32_I:
-                    problem = f"residual {Fraction(N, forms[t][0] * L4)} != 0 on the diagonal"
-                else:
-                    if N == 0 and nonzero:
-                        report.equality_points += 1
-                    least = minima[t]
-                    if nonzero and (least is None or N * least[1] < least[0] * L4):
-                        minima[t] = (N, L4)
+        """Check points against the variants live (indices into iids), a
+        chunk at a time, until each has failed; return those still standing."""
+        live, points = list(live), iter(points)
+        while live and (chunk := list(islice(points, _CHUNK))):
+            scaled = [integer_point(x) for x in chunk]
+            settled = _settled(scaled, K, c32)
+            for i in np.flatnonzero(~settled[:, live].all(axis=1)):
+                x, (L, n) = chunk[i], scaled[i]
+                pending = [t for t in live if not settled[i, t]]
+                if not pending:
                     continue
-                at = ", ".join(str(format_scalar(v)) for v in x)
-                outcomes[t] = ViolationFound(f"{iid.name.value}: {problem} at ({at})")
-                failed = True
-            if failed:
-                live = [t for t in live if isinstance(outcomes[t], IneqReport)]
+                nonzero, diagonal, L4 = any(n), _on_diagonal(n), L**4
+                # The denominator D_t * L**4 is positive, so N has f_t(x)'s sign.
+                _, numerators = exact_numerators([forms[t] for t in pending], n)
+                failed = False
+                for t, N in zip(pending, numerators):
+                    iid, report = iids[t], outcomes[t]
+                    if N < 0:
+                        problem = f"residual {Fraction(N, forms[t][0] * L4)} < 0"
+                    elif N == 0 and nonzero and (iid.strict or not diagonal):
+                        problem = "unexpected zero residual"
+                    elif N != 0 and diagonal and iid.name is IneqName.C32_I:
+                        problem = f"residual {Fraction(N, forms[t][0] * L4)} != 0 on the diagonal"
+                    else:
+                        if N == 0 and nonzero:
+                            report.equality_points += 1
+                        least = minima[t]
+                        if nonzero and (least is None or N * least[1] < least[0] * L4):
+                            minima[t] = (N, L4)
+                        continue
+                    at = ", ".join(str(format_scalar(v)) for v in x)
+                    outcomes[t] = ViolationFound(f"{iid.name.value}: {problem} at ({at})")
+                    failed = True
+                if failed:
+                    live = [t for t in live if isinstance(outcomes[t], IneqReport)]
+            for t in live:
+                outcomes[t].checked_points += len(chunk)
         return live
 
-    # Random points are drawn as they are checked, so memory stays flat.
     live = feed(range(len(iids)), chain(
         _STRUCTURED_POINTS, (random_rational_point(rng) for _ in range(samples))))
     # Exercise both directions of C32_i's equality case.
@@ -204,7 +274,7 @@ def check_inequalities(
     for t, (iid, T, report) in enumerate(zip(iids, tensors, outcomes)):
         if not isinstance(report, IneqReport):
             continue
-        N, L4 = minima[t]  # set by the first structured point, (1, 0, 0)
+        N, L4 = minima[t]  # set in the first chunk, by its least nonzero point
         report.min_residual = Fraction(N, forms[t][0] * L4)
         result = min_on_sphere(T, cfg)
         report.oracle_min = result.min_value

@@ -274,15 +274,21 @@ def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
     return total
 
 
+def integer_point(x: Sequence[Union[int, Fraction]]) -> tuple[int, tuple[int, ...]]:
+    """``(L, n)`` for an exact point x: L is the lcm of x's denominators and n
+    is the integer vector L*x."""
+    L = math.lcm(*(v.denominator for v in x))
+    return L, tuple(v.numerator * (L // v.denominator) for v in x)
+
+
 def exact_numerators(forms, x: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
     """``(L**4, [N_t])`` for integer forms ``(D_t, rows_t)`` (see
     ``integer_form``) at one exact point x: f_t(x) = N_t / (D_t * L**4), where
-    L is the lcm of x's denominators.  x is scaled to the integer vector
-    n = L*x once, and every form sums its rows k_m n^e_m over the same powers."""
-    L = math.lcm(*(v.denominator for v in x))
+    ``(L, n) = integer_point(x)``.  x is scaled to n once, and every form sums
+    its rows k_m n^e_m over the same powers; for an integer x, L = 1."""
+    L, scaled = integer_point(x)
     powers = []
-    for v in x:
-        n = v.numerator * (L // v.denominator)
+    for n in scaled:
         n2 = n * n
         powers.append((1, n, n2, n2 * n, n2 * n2))
     totals = []
@@ -312,10 +318,21 @@ def exact_numerators(forms, x: Sequence[Union[int, Fraction]]) -> tuple[int, lis
 _TOP_KEYS = {"dim", "order", "entries"}
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice, at any level, is an error
+    rather than a silent choice of its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def tensor_from_json(text: str) -> Quartic:
     """Parse the JSON tensor format.  Raises ParseError on any deviation."""
     try:
-        doc = json.loads(text, parse_float=_decimal)
+        doc = json.loads(text, parse_float=_decimal, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal beyond the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     except TooManyDigits as exc:

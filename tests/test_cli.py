@@ -129,6 +129,19 @@ def test_non_ascii_digit_key_exits_cleanly(tmp_path, capsys, key):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "order": 4, "entries": {"1111": 1, "1111": 5, "2222": 1}}',
+    '{"dim": 2, "order": 4, "dim": 2, "entries": {"1111": 1, "2222": 1}}',
+], ids=["entry", "dim"])
+def test_repeated_key_exits_cleanly(tmp_path, capsys, text):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main([str(path), "--no-oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     assert main(["/does/not/exist.json"]) == 1
 

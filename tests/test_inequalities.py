@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpd import inequalities
 from qpd.cli import main
@@ -19,7 +21,7 @@ from qpd.inequalities import (
     residual_tensor,
 )
 from qpd.oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
-from qpd.tensors import evaluate, format_scalar
+from qpd.tensors import evaluate, format_scalar, integer_point
 from qpd.ternary import SignClassTensor, classify_ternary, validate_class
 from qpd.verdicts import Classification
 
@@ -185,46 +187,65 @@ class TestCheckInequality:
         assert rep.equality_points >= 3
 
     def test_points_are_drawn_as_they_are_checked(self, monkeypatch):
-        numerators, draw = inequalities.exact_numerators, inequalities.random_rational_point
-        evaluated = []
-        drawn_after = []  # points evaluated before each random draw
-
-        def counting_numerators(forms, x):
-            evaluated.append(x)
-            return numerators(forms, x)
-
-        def counting_draw(rng):
-            drawn_after.append(len(evaluated))
-            return draw(rng)
-
-        monkeypatch.setattr(inequalities, "exact_numerators", counting_numerators)
-        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
-        check_inequality(rid(IneqName.C32_I), samples=5, seed=1)
-        ahead = len(inequalities._STRUCTURED_POINTS)
-        assert drawn_after == [ahead + k for k in range(5)]
-        assert len(evaluated) == ahead + 5 + 3
-        assert all(x[0] == x[1] == x[2] for x in evaluated[-3:])
-
-    def test_all_variants_share_each_point(self, monkeypatch):
-        numerators, draw = inequalities.exact_numerators, inequalities.random_rational_point
-        scaled, drawn = [], []
-
-        def counting_numerators(forms, x):
-            scaled.append(len(forms))
-            return numerators(forms, x)
+        draw, settled = inequalities.random_rational_point, inequalities._settled
+        drawn, chunks = [], []  # (points drawn so far, chunk size) per chunk
 
         def counting_draw(rng):
             drawn.append(None)
             return draw(rng)
 
-        monkeypatch.setattr(inequalities, "exact_numerators", counting_numerators)
+        def recording_settled(scaled, K, c32):
+            chunks.append((len(drawn), len(scaled)))
+            return settled(scaled, K, c32)
+
+        monkeypatch.setattr(inequalities, "_CHUNK", 8)
         monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        monkeypatch.setattr(inequalities, "_settled", recording_settled)
+        rep = check_inequality(rid(IneqName.C32_I), samples=21, seed=1)
+        ahead = len(inequalities._STRUCTURED_POINTS)
+        assert ahead + 21 == 38
+        assert [size for _, size in chunks] == [8, 8, 8, 8, 6, 3]
+        # Each random point is drawn once, in the chunk that checks it: when
+        # chunk j is checked, exactly the points of chunks 0..j are drawn.
+        assert [n for n, _ in chunks] == [0, 0, 7, 15, 21, 21]
+        assert rep.checked_points == ahead + 21 + 3
+
+    def test_all_variants_share_each_point(self, monkeypatch):
+        draw, settled = inequalities.random_rational_point, inequalities._settled
+        numerators = inequalities.exact_numerators
+        drawn, checks, exact = [], [], []
+
+        def counting_draw(rng):
+            drawn.append(draw(rng))
+            return drawn[-1]
+
+        def recording_settled(scaled, K, c32):
+            checks.append((scaled, len(K)))
+            return settled(scaled, K, c32)
+
+        def recording_numerators(forms, x):
+            exact.append(x)
+            return numerators(forms, x)
+
+        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        monkeypatch.setattr(inequalities, "_settled", recording_settled)
+        monkeypatch.setattr(inequalities, "exact_numerators", recording_numerators)
         outcomes = check_inequalities(CHECKED_VARIANTS, samples=50, seed=1, cfg=FAST)
         ahead = len(inequalities._STRUCTURED_POINTS)
         assert len(drawn) == 50
-        # Every point is scaled once for all 20 variants; the 3 diagonal
-        # points once for the two C32_i variants.
-        assert scaled == [20] * (ahead + 50) + [2] * 3
+        # One float check of every point, scaled once, against all 20
+        # variants; then the 3 diagonal points for the two C32_i variants.
+        points = [*inequalities._STRUCTURED_POINTS, *drawn]
+        diagonal = [(t, t, t) for t in (F(1), F(-3, 7), F(11, 6))]
+        assert checks == [([integer_point(x) for x in points], 20),
+                          ([integer_point(x) for x in diagonal], 20)]
+        # The exact residuals of a point are computed once, on its scaled
+        # integers, for all the variants it leaves open.  The 3 diagonal
+        # points come last, and (1, 1, 1) is also a structured point.
+        scaled = [n for chunk, _ in checks for _, n in chunk]
+        assert all(n in scaled for n in exact)
+        assert exact[-3:] == [n for _, n in checks[1][0]]
+        assert len(exact[:-3]) == len(set(exact[:-3]))
         assert [rep.checked_points for rep in outcomes] == [
             ahead + 50 + 3 * (iid.name is IneqName.C32_I) for iid in CHECKED_VARIANTS]
 
@@ -237,7 +258,8 @@ class TestCheckInequality:
 
 def reference_check(iid, samples, seed, cfg):
     """check_inequality as one pass per variant: its own draws, one
-    ``evaluate`` Fraction per point; the text of a violation, else the report."""
+    ``evaluate`` Fraction per point, then the oracle's verdicts; the text of a
+    violation, else the report."""
     rng = random.Random(seed)
     report = inequalities.IneqReport()
     points = [*inequalities._STRUCTURED_POINTS,
@@ -264,6 +286,11 @@ def reference_check(iid, samples, seed, cfg):
     result = min_on_sphere(T, cfg)
     report.oracle_min = result.min_value
     report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
+    if result.min_value < -cfg.verdict_tol:
+        return f"{iid.name.value}: oracle found sphere minimum {result.min_value} < 0"
+    if iid.strict and report.oracle_exact <= 0:
+        return (f"{iid.name.value}: exact value {report.oracle_exact} at rationalized "
+                "argmin is not positive")
     return report
 
 
@@ -320,3 +347,86 @@ def test_violation_details_print_exact_rationals(monkeypatch, capsys, name, form
     rows = json.loads(capsys.readouterr().out)["results"]
     assert code == 2
     assert {"inequality": name.value, "status": "violated", "detail": detail} in rows
+
+
+def variants_of(*names):
+    return [iid for iid in CHECKED_VARIANTS if iid.name in names]
+
+
+def assert_matches_reference(variants, samples, seed):
+    outcomes = check_inequalities(variants, samples, seed, FAST)
+    for iid, got in zip(variants, outcomes, strict=True):
+        assert as_outcome(got) == reference_check(iid, samples, seed, FAST), iid.label
+
+
+# Levels up to 2 lie below the PSD threshold of every sign pattern except the
+# eight of C32_i's orbit, whose threshold is 11/6; there those patterns vanish
+# at points (+-t, +-t, +-t).
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(list(IneqName)),
+       c=st.tuples(*3 * [st.sampled_from((1, -1))]),
+       b=st.just(F(11, 6)) | st.fractions(min_value=-2, max_value=2, max_denominator=12),
+       seed=st.integers(0, 2**32), samples=st.integers(1, 300))
+def test_filtered_check_equals_exact_reference(name, c, b, seed, samples):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(inequalities._CLASS_FORM, name, (c, b))
+        assert_matches_reference(variants_of(name), samples, seed)
+
+
+def scripted(points):
+    """A random_rational_point that deals points in order, from the start for
+    each new generator."""
+    def draw(rng):
+        rng.dealt = getattr(rng, "dealt", -1) + 1
+        return points[rng.dealt]
+    return draw
+
+
+@pytest.mark.parametrize("at", [7, 8, 9], ids=["before", "on", "after"])
+def test_violations_around_a_chunk_boundary(monkeypatch, at):
+    """Chunks of 4 points start at positions 0, 4, 8 and 12.  C32_ii, moved to
+    level 11/6, first vanishes at position at; C33_i, moved to level 0, first
+    goes negative at at + 1.  Both fail again later, in the last chunk."""
+    filler = [(F(k), 0, 0) if k % 2 else (0, F(k), 0) for k in range(2, 20)]
+    points = filler[:15]
+    points[at - 1] = (F(2), F(2), F(2))
+    points[at] = (F(1, 5), F(-1, 5), F(1))
+    points[12] = (F(3), F(3), F(3))
+    points[13] = (F(1, 2), F(-1, 2), F(1))
+    monkeypatch.setattr(inequalities, "_CHUNK", 4)
+    monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
+    monkeypatch.setattr(inequalities, "random_rational_point", scripted(points))
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C32_II, ((-1, -1, -1), F(11, 6)))
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C33_I, ((1, 1, 1), F(0)))
+    variants = variants_of(IneqName.C32_I, IneqName.C32_II, IneqName.C33_I)
+    outcomes = dict(zip(variants, check_inequalities(variants, len(points), 0, FAST)))
+    assert str(outcomes[rid(IneqName.C32_II)]) == \
+        "C32_ii: unexpected zero residual at (2, 2, 2)"
+    assert str(outcomes[rid(IneqName.C33_I)]) == \
+        "C33_i: residual -633/625 < 0 at (1/5, -1/5, 1)"
+    assert_matches_reference(variants, len(points), 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("on_diagonal", [False, True], ids=["near", "on"])
+def test_points_near_the_zero_set_of_c32_i(monkeypatch, seed, on_diagonal):
+    """C32_i's residual vanishes on the diagonal.  At points within 1e-12 of
+    it, or on it with denominators near 1e13, the float residual of C32_i's
+    form is all rounding error, so these points must be decided exactly.
+    C32_ii moves 1e-30 above C32_i's level, so that its least residual lies
+    among them; C33_i moves onto that level, so that it fails at the first
+    diagonal point.  Of the structured points only (1, 0, 0) is kept, since
+    (1, 1, 1) would decide both."""
+    def draw(rng):
+        s = F(rng.randint(-100, 100), 100) + F(rng.randint(1, 10), 10**13)
+        if on_diagonal:
+            return s, s, s
+        return s, s + F(rng.randint(1, 10), 10**13), s + F(rng.randint(-10, 10), 10**13)
+
+    monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
+    monkeypatch.setattr(inequalities, "random_rational_point", draw)
+    c, b = inequalities._CLASS_FORM[IneqName.C32_I]
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C32_II, (c, b + F(1, 10**30)))
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C33_I, (c, b))
+    assert_matches_reference(
+        variants_of(IneqName.C32_I, IneqName.C32_II, IneqName.C33_I), 200, seed)

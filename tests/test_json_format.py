@@ -47,6 +47,9 @@ def test_load_from_file(tmp_path):
         # Unicode digits that str.isdigit accepts but are not ASCII
         json.dumps({"dim": 2, "order": 4, "entries": {"1111": 1, "\u0661\u0661\u0661\u0661": 2}}),
         json.dumps({"dim": 2, "order": 4, "entries": {"\u00b9\u00b9\u00b9\u00b9": 1}}),
+        # A repeated key, in the entries or at the top level
+        '{"dim": 2, "order": 4, "entries": {"1111": 1, "1111": 5, "2222": 1}}',
+        '{"dim": 2, "dim": 3, "order": 4, "entries": {"1111": 1}}',
     ],
 )
 def test_parse_errors(doc):
