@@ -4,7 +4,7 @@ Analytic classifiers backed by exact rational arithmetic, cross-checked by a
 sphere-minimization oracle.
 """
 from .binary import classify_binary, classify_sign_binary
-from .oracle import OracleConfig, min_on_sphere, verify_verdict
+from .oracle import OracleConfig, min_on_sphere, minima_on_sphere, verify_verdict
 from .tensors import (
     BinaryQuartic,
     TernaryQuartic,
@@ -27,6 +27,7 @@ __all__ = [
     "classify_sign_binary",
     "classify_ternary",
     "min_on_sphere",
+    "minima_on_sphere",
     "OracleConfig",
     "verify_verdict",
     "Classification",

@@ -7,13 +7,17 @@ requested), 2 on a conflict, 1 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import product
 
 from . import inequalities as ineq
 from .binary import NotInSignClass, classify_binary, classify_sign_binary
-from .oracle import NonFiniteValue, OracleConfig, OracleResult, min_on_sphere, verify_verdict
+from .oracle import (
+    NonFiniteValue, OracleConfig, OracleResult, agreement, min_on_sphere, minima_on_sphere,
+    verify_verdict,
+)
 from .tensors import TensorError, TooManyDigits, evaluate, format_scalar, load_tensor
 from .ternary import STUDIED_LEVELS, NotInClass, SignClassTensor, classify_ternary
 from .verdicts import Verdict
@@ -147,12 +151,15 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
     rows = []
     conflicts = 0
     counts: dict[str, int] = {}
+    patterns = list(product((1, -1), repeat=6))
     for b in STUDIED_LEVELS:
-        for bits in product((1, -1), repeat=6):
-            tensor = SignClassTensor(*bits, b).to_quartic()
-            verdict = classify_ternary(tensor)
-            check = verify_verdict(tensor, verdict, cfg)
-            if check.agreement == "conflict":
+        # One stacked oracle search per level, over its 64 sign patterns.
+        tensors = [SignClassTensor(*bits, b).to_quartic() for bits in patterns]
+        verdicts = [classify_ternary(tensor) for tensor in tensors]
+        results = minima_on_sphere(tensors, cfg)
+        for bits, verdict, result in zip(patterns, verdicts, results):
+            agrees = agreement(verdict, result, cfg)
+            if agrees == "conflict":
                 conflicts += 1
             key = f"{format_scalar(b)}:{verdict.classification.value}"
             counts[key] = counts.get(key, 0) + 1
@@ -162,9 +169,9 @@ def _run_sweep(args, cfg: OracleConfig) -> int:
                     "s": list(bits[:3]),
                     "c": list(bits[3:]),
                     "analytic": verdict.classification.value,
-                    "numeric": check.numeric.verdict.value,
-                    "min_value": check.numeric.min_value,
-                    "agreement": check.agreement,
+                    "numeric": result.verdict.value,
+                    "min_value": result.min_value,
+                    "agreement": agrees,
                 }
             )
     report = {
@@ -210,7 +217,10 @@ def _run_inequalities(args, cfg: OracleConfig) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="qpd",
         description="Decide positive (semi)definiteness of quartic forms in 2 "

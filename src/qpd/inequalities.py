@@ -11,6 +11,7 @@ s bit.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .oracle import OracleConfig, _gather, min_on_sphere, rationalize_and_confirm
+from .oracle import OracleConfig, _gather, minima_on_sphere, rationalize_and_confirm
 from .tensors import (
     EXPONENTS, Scalar, TernaryQuartic, evaluate, exact_numerators, format_scalar,
     integer_point,
@@ -132,10 +133,17 @@ def _on_diagonal(x) -> bool:
     return x[0] == x[1] == x[2]
 
 
-def random_rational_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
-    return tuple(
-        Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(3)
-    )
+def random_rational_point(rng: random.Random) -> tuple[int, tuple[int, int, int]]:
+    """A random point x with coordinates p / q, p in [-100, 100] and q in
+    [1, 100], as ``integer_point(x)``: x = n / L.  It is drawn straight into
+    integers, with the draws of ``Fraction(p, q)`` for each coordinate."""
+    reduced = []
+    for _ in range(3):
+        p, q = rng.randint(-100, 100), rng.randint(1, 100)
+        g = math.gcd(p, q)
+        reduced.append((p // g, q // g))
+    L = math.lcm(*(q for _, q in reduced))
+    return L, tuple(p * (L // q) for p, q in reduced)
 
 
 @dataclass
@@ -186,7 +194,7 @@ def _settled(scaled, K: np.ndarray, c32: np.ndarray) -> np.ndarray:
     # A point checked exactly gets the row 0, where F = B = 0 settles nothing.
     X = np.array([n if ok else (0, 0, 0) for (_, n), ok in zip(scaled, small)], dtype=float)
     L4 = np.array([float(L**4) if ok else 1.0 for (L, _), ok in zip(scaled, small)])[:, None]
-    M = _gather(_TABLES, len(X))(X)[0]
+    M = _gather(_TABLES, 1, len(X))(X[None])[0, 0]
     F = M @ K.T
     B = _ERROR * (np.abs(M) @ np.abs(K).T)
     diagonal = np.array([_on_diagonal(n) for _, n in scaled])
@@ -226,14 +234,14 @@ def check_inequalities(
     minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value
 
     def feed(live, points):
-        """Check points against the variants live (indices into iids), a
-        chunk at a time, until each has failed; return those still standing."""
+        """Check points, each given as ``integer_point(x)``, against the
+        variants live (indices into iids), a chunk at a time, until each has
+        failed; return those still standing."""
         live, points = list(live), iter(points)
         while live and (chunk := list(islice(points, _CHUNK))):
-            scaled = [integer_point(x) for x in chunk]
-            settled = _settled(scaled, K, c32)
+            settled = _settled(chunk, K, c32)
             for i in np.flatnonzero(~settled[:, live].all(axis=1)):
-                x, (L, n) = chunk[i], scaled[i]
+                L, n = chunk[i]
                 pending = [t for t in live if not settled[i, t]]
                 if not pending:
                     continue
@@ -256,7 +264,7 @@ def check_inequalities(
                         if nonzero and (least is None or N * least[1] < least[0] * L4):
                             minima[t] = (N, L4)
                         continue
-                    at = ", ".join(str(format_scalar(v)) for v in x)
+                    at = ", ".join(str(format_scalar(Fraction(v, L))) for v in n)
                     outcomes[t] = ViolationFound(f"{iid.name.value}: {problem} at ({at})")
                     failed = True
                 if failed:
@@ -266,17 +274,19 @@ def check_inequalities(
         return live
 
     live = feed(range(len(iids)), chain(
-        _STRUCTURED_POINTS, (random_rational_point(rng) for _ in range(samples))))
+        map(integer_point, _STRUCTURED_POINTS),
+        (random_rational_point(rng) for _ in range(samples))))
     # Exercise both directions of C32_i's equality case.
     feed([t for t in live if iids[t].name is IneqName.C32_I],
-         [(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
+         [integer_point((t, t, t)) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
 
-    for t, (iid, T, report) in enumerate(zip(iids, tensors, outcomes)):
-        if not isinstance(report, IneqReport):
-            continue
+    # One stacked oracle search for the variants still standing.
+    standing = [t for t, report in enumerate(outcomes) if isinstance(report, IneqReport)]
+    results = minima_on_sphere([tensors[t] for t in standing], cfg)
+    for t, result in zip(standing, results):
+        iid, T, report = iids[t], tensors[t], outcomes[t]
         N, L4 = minima[t]  # set in the first chunk, by its least nonzero point
         report.min_residual = Fraction(N, forms[t][0] * L4)
-        result = min_on_sphere(T, cfg)
         report.oracle_min = result.min_value
         report.oracle_exact = rationalize_and_confirm(T, result.argmin, cfg.max_denominator)
         if result.min_value < -cfg.verdict_tol:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Optional
@@ -25,6 +26,19 @@ from .verdicts import Classification, ClassVerdict
 
 class NotInClass(Exception):
     """The tensor is not a member of the unit-entry sign class."""
+
+
+def _brief(value: Scalar) -> str:
+    """A coefficient for a NotInClass text.  An exact one whose numerator or
+    denominator reaches 10**12 is rounded to 6 significant digits and marked
+    with "~", so that a huge one does not print all its digits."""
+    if not isinstance(value, (int, Fraction)) or max(
+            abs(value.numerator), value.denominator) < 10**12:
+        return str(value)
+    with localcontext() as ctx:
+        ctx.prec = 6
+        rounded = Decimal(value.numerator) / Decimal(value.denominator)
+    return f"~{rounded.normalize():g}"
 
 
 # The sign-class layout.  For the cubic pair (i, j), s_ij is at t_iiij, -s_ij
@@ -76,30 +90,30 @@ def validate_class(T: TernaryQuartic) -> SignClassTensor:
     """
     for i in (1, 2, 3):
         if T.coeff((i, i, i, i)) != 1:
-            raise NotInClass(f"t{i}{i}{i}{i} must be 1, got {T.coeff((i,i,i,i))}")
+            raise NotInClass(f"t{i}{i}{i}{i} must be 1, got {_brief(T.coeff((i, i, i, i)))}")
     bits = []
     for i, j in CUBIC_PAIRS:
         tiiij = T.coeff((i, i, i, j))
         tijjj = T.coeff((i, j, j, j))
         if tiiij not in (1, -1):
-            raise NotInClass(f"t{i}{i}{i}{j} must be +-1, got {tiiij}")
+            raise NotInClass(f"t{i}{i}{i}{j} must be +-1, got {_brief(tiiij)}")
         if tijjj * tiiij != -1:
             raise NotInClass(
                 f"pairing violated: t{i}{j}{j}{j} * t{i}{i}{i}{j} must be -1, "
-                f"got {tijjj} * {tiiij}"
+                f"got {_brief(tijjj)} * {tiiij}"
             )
         bits.append(int(tiiij))
     for midx in _MIXED:
         v = T.coeff(midx)
         if v not in (1, -1):
-            raise NotInClass(f"t{''.join(map(str, midx))} must be +-1, got {v}")
+            raise NotInClass(f"t{''.join(map(str, midx))} must be +-1, got {_brief(v)}")
         bits.append(int(v))
     b = T.coeff((1, 1, 2, 2))
     for i, j in CUBIC_PAIRS[1:]:
         if T.coeff((i, i, j, j)) != b:
             raise NotInClass(
                 f"off-diagonal level not uniform: t{i}{i}{j}{j} = "
-                f"{T.coeff((i, i, j, j))} but t1122 = {b}"
+                f"{_brief(T.coeff((i, i, j, j)))} but t1122 = {_brief(b)}"
             )
     return SignClassTensor(*bits, b)
 

@@ -202,6 +202,34 @@ def test_overflowing_coefficients_exit_cleanly(tmp_path, capsys, entries):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, notice, error", [
+    ("1e400", "got ~1e+400", "overflow"),
+    ("1e-400", "got ~1e-400", "underflow"),  # float64 would see a zero coefficient
+])
+def test_extreme_coefficients_get_short_messages(tmp_path, capsys, value, notice, error):
+    path = write_tensor(tmp_path, "extreme.json", 3, {"1111": value, "2222": 1, "3333": 1})
+    assert main([path] + FAST) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and "Traceback" not in captured.err
+    assert lines[0] == ("notice: tensor outside the analytic sign class "
+                        f"(t1111 must be 1, {notice}); oracle only")
+    assert lines[1].startswith("error:") and error in lines[1]
+
+
+def test_successive_calls_share_no_state(binary_pd, capsys):
+    """The parser is built once per process; one call's flags do not carry
+    into the next."""
+    code, quiet = run_json(capsys, [binary_pd, "--no-oracle"] + FAST)
+    assert code == 0 and quiet["numeric"] is None and quiet["agreement"] == "n/a"
+    code, checked = run_json(capsys, [binary_pd] + FAST)
+    assert code == 0 and checked["numeric"]["verdict"] == "PD"
+    assert checked["agreement"] == "agree"
+    code, again = run_json(capsys, [binary_pd, "--no-oracle"])
+    assert again == quiet
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid", "4"],
     ["--tol", "0"],

@@ -233,12 +233,12 @@ class TestCheckInequality:
         outcomes = check_inequalities(CHECKED_VARIANTS, samples=50, seed=1, cfg=FAST)
         ahead = len(inequalities._STRUCTURED_POINTS)
         assert len(drawn) == 50
-        # One float check of every point, scaled once, against all 20
-        # variants; then the 3 diagonal points for the two C32_i variants.
-        points = [*inequalities._STRUCTURED_POINTS, *drawn]
+        # One float check of every point, scaled once (random points are
+        # drawn scaled), against all 20 variants; then the 3 diagonal points
+        # for the two C32_i variants.
+        points = [*map(integer_point, inequalities._STRUCTURED_POINTS), *drawn]
         diagonal = [(t, t, t) for t in (F(1), F(-3, 7), F(11, 6))]
-        assert checks == [([integer_point(x) for x in points], 20),
-                          ([integer_point(x) for x in diagonal], 20)]
+        assert checks == [(points, 20), ([integer_point(x) for x in diagonal], 20)]
         # The exact residuals of a point are computed once, on its scaled
         # integers, for all the variants it leaves open.  The 3 diagonal
         # points come last, and (1, 1, 1) is also a structured point.
@@ -248,6 +248,17 @@ class TestCheckInequality:
         assert len(exact[:-3]) == len(set(exact[:-3]))
         assert [rep.checked_points for rep in outcomes] == [
             ahead + 50 + 3 * (iid.name is IneqName.C32_I) for iid in CHECKED_VARIANTS]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_equal_fraction_draws(self, seed):
+        """Points are drawn straight into integers from the same randint
+        draws, p then q per coordinate, as Fraction(p, q) points were."""
+        ints, fractions = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            point = tuple(F(fractions.randint(-100, 100), fractions.randint(1, 100))
+                          for _ in range(3))
+            assert inequalities.random_rational_point(ints) == integer_point(point)
+        assert ints.random() == fractions.random()
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -262,8 +273,9 @@ def reference_check(iid, samples, seed, cfg):
     violation, else the report."""
     rng = random.Random(seed)
     report = inequalities.IneqReport()
+    drawn = (inequalities.random_rational_point(rng) for _ in range(samples))
     points = [*inequalities._STRUCTURED_POINTS,
-              *(inequalities.random_rational_point(rng) for _ in range(samples))]
+              *(tuple(F(v, L) for v in n) for L, n in drawn)]
     if iid.name is IneqName.C32_I:
         points += [(t, t, t) for t in (F(1), F(-3, 7), F(11, 6))]
     T = residual_tensor(iid)
@@ -378,7 +390,7 @@ def scripted(points):
     each new generator."""
     def draw(rng):
         rng.dealt = getattr(rng, "dealt", -1) + 1
-        return points[rng.dealt]
+        return integer_point(points[rng.dealt])
     return draw
 
 
@@ -420,8 +432,9 @@ def test_points_near_the_zero_set_of_c32_i(monkeypatch, seed, on_diagonal):
     def draw(rng):
         s = F(rng.randint(-100, 100), 100) + F(rng.randint(1, 10), 10**13)
         if on_diagonal:
-            return s, s, s
-        return s, s + F(rng.randint(1, 10), 10**13), s + F(rng.randint(-10, 10), 10**13)
+            return integer_point((s, s, s))
+        return integer_point(
+            (s, s + F(rng.randint(1, 10), 10**13), s + F(rng.randint(-10, 10), 10**13)))
 
     monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
     monkeypatch.setattr(inequalities, "random_rational_point", draw)

@@ -8,6 +8,7 @@ import pytest
 
 from qpd import oracle
 from qpd.binary import classify_binary
+from qpd.inequalities import CHECKED_VARIANTS, residual_tensor
 from qpd.oracle import (
     NonFiniteValue,
     NumericVerdict,
@@ -20,7 +21,9 @@ from qpd.oracle import (
     _refine,
     _seed_grid,
     _seed_table,
+    _weights,
     min_on_sphere,
+    minima_on_sphere,
     negative_witness,
     rationalize_and_confirm,
     verify_verdict,
@@ -35,13 +38,13 @@ CFG = OracleConfig(grid_resolution=64, starts=8)
 
 
 def _eval_batch(X, C, E):
-    """f at each row of X, as the oracle evaluates it."""
-    return _kernel(C, E, len(X))(X)[0]
+    """f at each row of X, as the oracle evaluates it: a stack of one form."""
+    return _kernel(E, 1, len(X))(X[None], _weights(C[None], E))[0][0]
 
 
 def _grad_batch(X, C, E):
     """The gradient at each row of X, as the oracle evaluates it."""
-    return _kernel(C, E, len(X))(X)[1]
+    return _kernel(E, 1, len(X))(X[None], _weights(C[None], E))[1][0]
 
 
 def case1_tensor():
@@ -196,7 +199,7 @@ class TestPowerTable:
         C, E = _float_terms(DIM_TENSORS[dim])
         # E and, for each k, E with column k lowered: the kernel's tables.
         tables = [E] + [np.maximum(E - np.eye(dim, dtype=int)[k], 0) for k in range(dim)]
-        M = _gather(np.stack(tables), len(X))(X)
+        M = _gather(np.stack(tables), 1, len(X))(X[None])[0]
         assert M.flags.c_contiguous
         for Ms, Es in zip(M, tables):
             assert same_bits(Ms, direct_monomials(X, Es))
@@ -308,11 +311,45 @@ def test_frozen_starts_have_converged(T, monkeypatch):
     cfg = OracleConfig()
     C, E = _float_terms(T)
     seeds, M = _seed_table(T.dim, cfg.grid_resolution)
-    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)], C, E)
+    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)][None], C[None], E)
     monkeypatch.setattr(oracle, "_STALL", oracle._REFINE_ITERS + 1)
-    _, f_full, iterations = _refine(X, C, E)
-    assert iterations == oracle._REFINE_ITERS
+    _, f_full, iterations = _refine(X, C[None], E)
+    assert iterations.tolist() == [oracle._REFINE_ITERS]
     assert np.all(f_full >= f - 1e-12)
+
+
+def bits(r):
+    """An OracleResult with its floats as hex, so that equal means bit for bit."""
+    return (r.min_value.hex(), [v.hex() for v in r.argmin], r.verdict, r.iterations,
+            r.confirmed_exact, r.witness)
+
+
+class TestStack:
+    """minima_on_sphere refines a stack of forms in one loop, and each result
+    equals that of searching its tensor alone, bit for bit."""
+
+    def test_inequality_variants(self):
+        tensors = [residual_tensor(iid) for iid in CHECKED_VARIANTS]
+        cfg = OracleConfig()
+        alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
+        assert [bits(r) for r in minima_on_sphere(tensors, cfg)] == [bits(r) for r in alone]
+
+    def test_slow_forms_keep_their_own_iterations(self):
+        """(x + y)**4 and (x - y)**4 refine for over 300 iterations; the fast
+        binaries stacked with them stop, and report, long before."""
+        slow = [BinaryQuartic(1, 1, 1, 1, 1), BinaryQuartic(1, -1, 1, -1, 1)]
+        fast = [DIM_TENSORS[2], BinaryQuartic(1, 0, F(1, 3), 0, 1),
+                GOLDEN["binary-degenerate"][0]]
+        tensors = [fast[0], slow[0], fast[1], slow[1], fast[2]]
+        cfg = OracleConfig()
+        alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
+        assert [r.iterations > 300 for r in alone] == [False, True, False, True, False]
+        assert [bits(r) for r in minima_on_sphere(tensors, cfg)] == [bits(r) for r in alone]
+
+    def test_empty_and_mixed_stacks(self):
+        assert minima_on_sphere([], CFG) == []
+        with pytest.raises(ValueError):
+            minima_on_sphere([DIM_TENSORS[2], DIM_TENSORS[3]], CFG)
 
 
 class TestRationalize:
