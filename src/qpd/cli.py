@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import product
 
@@ -251,6 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # The reader closed stdout early (``qpd ... | head``).  Point stdout at
+        # devnull, so that the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = OracleConfig(grid_resolution=args.grid, starts=args.starts,

@@ -136,10 +136,22 @@ def _on_diagonal(x) -> bool:
 def random_rational_point(rng: random.Random) -> tuple[int, tuple[int, int, int]]:
     """A random point x with coordinates p / q, p in [-100, 100] and q in
     [1, 100], as ``integer_point(x)``: x = n / L.  It is drawn straight into
-    integers, with the draws of ``Fraction(p, q)`` for each coordinate."""
+    integers, with the draws of ``Fraction(p, q)`` for each coordinate.
+
+    p and q are ``rng.randint(-100, 100)`` and ``rng.randint(1, 100)``, drawn
+    by CPython's own rule for them: words of 8 and 7 random bits, each
+    redrawn until it is below the range's 201 and 100 values.  The stream is
+    the same, without ``randint``'s argument handling."""
+    getrandbits = rng.getrandbits
     reduced = []
     for _ in range(3):
-        p, q = rng.randint(-100, 100), rng.randint(1, 100)
+        p = getrandbits(8)
+        while p >= 201:
+            p = getrandbits(8)
+        q = getrandbits(7)
+        while q >= 100:
+            q = getrandbits(7)
+        p, q = p - 100, q + 1
         g = math.gcd(p, q)
         reduced.append((p // g, q // g))
     L = math.lcm(*(q for _, q in reduced))

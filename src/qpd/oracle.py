@@ -4,10 +4,15 @@ sphere, with exact confirmation of negative minima at rationalized points.
 By homogeneity the sign of the sphere minimum decides everything: min > 0
 means PD, min = 0 at a nonzero point means PSD on the boundary, min < 0
 refutes PSD.  The method is a dense angular seed grid (a hemisphere, since
-the form is even) followed by multi-start projected gradient descent with
-backtracking, all in float64 via numpy.  A start stops once its value has
-not strictly decreased for ``_STALL`` iterations, and refinement ends when
-every start has stopped; ``_REFINE_ITERS`` is only a ceiling.
+the form is even) followed by multi-start descent on the sphere with
+backtracking, all in float64 via numpy.  A start takes a Riemannian Newton
+step where its tangent Hessian is positive definite and a projected gradient
+step elsewhere.  It stops once its tangential gradient vanishes, once its
+value has not strictly decreased for ``_STALL`` iterations, or, on a Newton
+step, once its Newton decrement is below float resolution; refinement ends
+when every start has stopped, and ``_REFINE_ITERS`` is only a ceiling.
+Newton converges quadratically at a nondegenerate minimum, so a few
+iterations usually suffice.
 
 The seed grid and its monomial matrix depend only on the dimension and the
 grid resolution, so they are built once per ``(dim, grid_resolution)`` and
@@ -16,11 +21,11 @@ product with its coefficient vector.
 
 Refinement works on a stack of forms: ``minima_on_sphere`` refines the
 starts of many tensors of one dimension in one loop, and ``min_on_sphere`` is
-its stack of one.  Each form keeps its own steps, stall counts, line search
-and iteration count, and a form that stops or has finished its line search is
-no longer evaluated, so every form's result equals that of searching it
-alone, bit for bit.  The stack pays the loop's fixed cost per numpy call once
-for all its forms.
+its stack of one.  Each form keeps its own steps, damping, stall counts, line
+search and iteration count, and a form that stops or has finished its line
+search is no longer evaluated, so every form's result equals that of
+searching it alone, bit for bit.  The stack pays the loop's fixed cost per
+numpy call once for all its forms.
 
 f and its gradient are evaluated together, in one kernel built per
 ``_refine`` call: a precomputed flat index gathers every monomial of f and of
@@ -31,7 +36,9 @@ matrix, so products and sums keep the order of the direct formulas and the
 results equal theirs bit for bit.  A backtracking candidate is evaluated
 once (the powers of frozen starts, whose candidates are never accepted, are
 not recomputed), and the gradient of an accepted point is carried into the
-next iteration.
+next iteration.  The Hessian is a quadratic form in x: its distinct entries
+are the quadratic monomials x_k x_l times a per-form weight matrix (6 x 6 for
+ternaries), which ``_hessian_table`` gathers exactly from the coefficients.
 """
 from __future__ import annotations
 
@@ -56,10 +63,12 @@ _OVERFLOW = "tensor coefficients overflow float64 evaluation"
 _UNDERFLOW = "tensor coefficients underflow float64 evaluation"
 
 # Refinement (see _refine): a start freezes after _STALL iterations without a
-# strict decrease of its value, or once its tangential gradient norm drops
-# below _REFINE_TOL; at most _REFINE_ITERS iterations run.
+# strict decrease of its value, once its tangential gradient norm drops below
+# _REFINE_TOL, or once its Newton decrement drops to _DECREMENT * sum |C|; at
+# most _REFINE_ITERS iterations run.
 _STALL = 10
 _REFINE_TOL = 1e-12
+_DECREMENT = 1e-15
 _REFINE_ITERS = 500
 # The powers of a coordinate that _gather computes with pow.
 _HIGH_POWERS = np.arange(2.0, 5.0)
@@ -79,8 +88,10 @@ class OracleConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise ValueError("grid_resolution must be >= 8")
+        # A ternary grid of n has n**2 + 1 seeds of 15 monomials each, so the
+        # seed table grows as 120 n**2 bytes: 126 MB at the bound.
+        if not 8 <= self.grid_resolution <= 1024:
+            raise ValueError("grid_resolution must be between 8 and 1024")
         if not self.verdict_tol > 0:  # rejects NaN too
             raise ValueError("verdict_tol must be positive")
         if self.starts < 1:
@@ -230,49 +241,139 @@ def _lowest(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")][:k]
 
 
+@functools.lru_cache(maxsize=2)
+def _hessian_table(dim: int):
+    """``(source, factor, pairs, entry)`` for the Hessian of a quartic, whose
+    entries are quadratic forms.  With the index pairs k <= l listed in
+    ``pairs`` (shape (2, P)), the p-th distinct entry is
+
+        d2f/dx_k dx_l = sum_q C[source[p, q]] * factor[p, q] * x_i x_j
+
+    for the p-th pair (k, l) and the q-th pair (i, j), and ``entry[k, l]``
+    is the p of (min(k, l), max(k, l)).  Each weight is one coefficient times
+    an integer (or 0), so ``C[:, source] * factor`` gives every form's P x P
+    weight matrix exactly."""
+    pairs = [(k, l) for k in range(dim) for l in range(k, dim)]
+    source = np.zeros((len(pairs), len(pairs)), dtype=int)
+    factor = np.zeros((len(pairs), len(pairs)))
+    for m, e in enumerate(_exponents(dim)):
+        for p, (k, l) in enumerate(pairs):
+            low = e.copy()
+            low[k] -= 1
+            low[l] -= 1
+            if low.min() >= 0:
+                q = pairs.index(tuple(np.repeat(np.arange(dim), low)))
+                source[p, q], factor[p, q] = m, e[k] * (e[l] - (k == l))
+    entry = np.array([[pairs.index((min(k, l), max(k, l))) for l in range(dim)]
+                      for k in range(dim)])
+    return source, factor, np.array(pairs).T, entry
+
+
+def _tangent_basis(X: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the tangent space at each unit row of X, shaped
+    (..., dim - 1, dim).  For dim 3 it is the branchless basis of Duff et al.,
+    "Building an Orthonormal Basis, Revisited" (JCGT, 2017)."""
+    if X.shape[-1] == 2:
+        return np.stack([-X[..., 1], X[..., 0]], axis=-1)[..., None, :]
+    x, y, z = np.moveaxis(X, -1, 0)
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    B = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], axis=-1)
+    return B.reshape(X.shape[:-1] + (2, 3))
+
+
+def _direction(X, G, W, pairs, entry):
+    """Each start's step direction D, its predicted decrease, the squared
+    tangential gradient norm, and whether the step is Newton's.
+
+    In tangent coordinates (basis B, r = B grad f) the Riemannian Hessian of
+    f on the sphere is A = B (Hess f - (x . grad f) I) B^T (Absil, Mahony &
+    Sepulchre, 2008).  Where A is positive definite the step solves A c = -r;
+    elsewhere it is the gradient step c = -r.  Then D = B^T c and the
+    decrease is -r . c, which is the Newton decrement or |r|^2.  Every
+    operation acts on one start at a time, with sums over short trailing axes
+    in a fixed order, so a start's direction does not depend on the stack.
+    """
+    B = _tangent_basis(X)
+    r = np.add.reduce(B * G[:, :, None], axis=3)
+    quadratic = X[..., pairs[0]] * X[..., pairs[1]]
+    H = np.add.reduce(quadratic[:, :, None] * W[:, None], axis=3)[..., entry]
+    HB = np.add.reduce(H[:, :, None] * B[:, :, :, None], axis=4)
+    A = np.add.reduce(HB[:, :, :, None] * B[:, :, None], axis=4)
+    radial = np.add.reduce(G * X, axis=2)
+    if r.shape[2] == 1:
+        a = A[..., 0, 0] - radial
+        positive = a > 0
+        c = -r / a[..., None]
+    else:
+        a, b, e = A[..., 0, 0] - radial, A[..., 0, 1], A[..., 1, 1] - radial
+        det = a * e - b * b
+        positive = (a > 0) & (det > 0)
+        c = np.stack([b * r[..., 1] - e * r[..., 0], b * r[..., 0] - a * r[..., 1]],
+                     axis=-1) / det[..., None]
+    g2 = np.add.reduce(r * r, axis=2)
+    decrement = -np.add.reduce(r * c, axis=2)
+    newton = positive & np.isfinite(decrement)
+    D = np.add.reduce(np.where(newton[..., None], c, -r)[..., None] * B, axis=2)
+    return D, np.where(newton, decrement, g2), g2, newton
+
+
 def _refine(X, C, E):
-    """Batch projected gradient descent with backtracking line search, for a
+    """Batch Riemannian Newton descent with backtracking line search, for a
     stack of forms: X holds each form's starts (forms, starts, dim), C one
     coefficient row per form.
 
-    Accepted steps never increase the objective.  A start freezes once its
-    tangential gradient norm drops below ``_REFINE_TOL`` or once its value has
-    not strictly decreased for ``_STALL`` iterations; a form stops when all of
-    its starts are frozen, or after ``_REFINE_ITERS`` iterations.  Each form
-    keeps its own steps, stall counts and line search, and only forms still
-    refining or still backtracking are evaluated, so each form's results equal
-    those of refining it alone, bit for bit.  Returns the points, their values
-    and each form's number of iterations.
+    A start takes a Newton step where its tangent Hessian is positive definite
+    and a gradient step elsewhere (see ``_direction``), each with Armijo
+    backtracking.  Gradient steps keep an adaptive length (x1.5 on acceptance,
+    x0.5 on rejection); Newton steps keep their own damping, which starts at
+    1, halves on rejection and doubles up to 1 on acceptance.  Accepted steps
+    never increase the objective.  A start freezes once its tangential
+    gradient norm drops below ``_REFINE_TOL``, once its value has not strictly
+    decreased for ``_STALL`` iterations, or, on a Newton step, once its
+    decrement is at most ``_DECREMENT`` times sum |C| (which bounds |f| on the
+    sphere); a form stops when all of its starts are frozen, or after
+    ``_REFINE_ITERS`` iterations.  Each form keeps its own steps, damping,
+    stall counts and line search, and only forms still refining or still
+    backtracking are evaluated, so each form's results equal those of refining
+    it alone, bit for bit.  Returns the points, their values and each form's
+    number of iterations.
 
     Every array keeps one row per form still refining (``rows`` names it);
     the rows of forms that stop are written out and dropped.
     """
-    forms, n, _ = X.shape
+    forms, n, dim = X.shape
     kernel = _kernel(E, forms, n)
     V = _weights(C, E)
+    source, factor, pairs, entry = _hessian_table(dim)
+    W = C[:, source] * factor
+    resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1)
 
-    def trial(X, Gt, step, active, f, g2, V):
+    def trial(X, D, scale, active, f, decrease, V):
         """Candidates, their values, gradients and acceptance.  A frozen start
         is never accepted, so its candidate is not evaluated."""
-        cand = X - (step * active)[:, :, None] * Gt
+        cand = X + (scale * active)[:, :, None] * D
         cand /= np.sqrt(np.add.reduce(cand * cand, axis=2, keepdims=True))
         fc, Gc = kernel(cand, V, active[:, :, None, None])
-        return cand, fc, Gc, active & (fc <= f - 1e-4 * step * g2)
+        return cand, fc, Gc, active & (fc <= f - 1e-4 * scale * decrease)
 
     step = np.full((forms, n), 0.1)
+    damping = np.ones((forms, n))
     lowered = np.zeros((forms, n), dtype=int)  # the last iteration that lowered each start
     rows = np.arange(forms)  # the form of each row still refining
     X_out, f_out = np.empty_like(X), np.empty((forms, n))
     iterations = np.empty(forms, dtype=int)
     done = 0
     # Overflow to inf/nan is tolerated here; minima_on_sphere has checked the
-    # seed values.  Row norms use np.linalg.norm's own formula.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # seed values.  Row norms use np.linalg.norm's own formula.  A singular
+    # tangent Hessian divides by zero, and that start takes a gradient step.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, G = kernel(X, V)
         while True:
-            Gt = G - np.add.reduce(G * X, axis=2, keepdims=True) * X
-            gnorm = np.sqrt(np.add.reduce(Gt * Gt, axis=2))
-            active = (gnorm > _REFINE_TOL) & (lowered > done - _STALL)
+            D, decrease, g2, newton = _direction(X, G, W, pairs, entry)
+            active = ((g2 > _REFINE_TOL**2) & (lowered > done - _STALL)
+                      & ~(newton & (decrease <= resolution[:, None])))
             running = active.any(axis=1)
             if done == _REFINE_ITERS:
                 running[:] = False
@@ -282,16 +383,18 @@ def _refine(X, C, E):
                 iterations[stopped] = done
                 if not running.any():
                     return X_out, f_out, iterations
-                X, f, G, Gt, gnorm, active, step, lowered, V, rows = (
-                    a[running] for a in (X, f, G, Gt, gnorm, active, step, lowered, V, rows))
+                (X, f, G, D, decrease, newton, active, step, damping, lowered, V, W,
+                 resolution, rows) = (
+                    a[running] for a in (X, f, G, D, decrease, newton, active, step, damping,
+                                         lowered, V, W, resolution, rows))
             done += 1
-            g2 = gnorm**2
-            cand, fc, Gc, ok = trial(X, Gt, step, active, f, g2, V)
+            scale = np.where(newton, damping, step)
+            cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease, V)
             if not ok.any(axis=1).all():
-                # A form none of whose starts was accepted halves their steps
-                # and tries again, at most 60 times in all.  ok implies active,
-                # so a form searches on when it has an active but no accepted
-                # start.
+                # A form none of whose starts was accepted halves their step
+                # lengths and damping and tries again, at most 60 times in
+                # all.  ok implies active, so a form searches on when it has
+                # an active but no accepted start.
                 for attempt in range(1, 61):
                     search = active.any(axis=1) > ok.any(axis=1)
                     every = search.all()
@@ -299,23 +402,25 @@ def _refine(X, C, E):
                         if not search.any():
                             break
                         active &= search[:, None]  # a form done searching keeps its step
-                    step = np.where(active, step / 2, step)
-                    active &= step > 1e-18
+                    scale = np.where(active, scale / 2, scale)
+                    active &= scale > 1e-18
                     if attempt == 60:
                         break
                     if every:
-                        cand, fc, Gc, ok = trial(X, Gt, step, active, f, g2, V)
+                        cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease, V)
                     else:
                         s = np.flatnonzero(search)
                         cand[s], fc[s], Gc[s], ok[s] = trial(
-                            X[s], Gt[s], step[s], active[s], f[s], g2[s], V[s])
+                            X[s], D[s], scale[s], active[s], f[s], decrease[s], V[s])
             accepted = ok[:, :, None]
             X = np.where(accepted, cand, X)
             G = np.where(accepted, Gc, G)  # the gradient at the accepted points
             lowered = np.where(ok & (fc < f), done, lowered)
             f = np.where(ok, fc, f)
-            step *= np.where(ok, 1.5, 0.5)
-            step = np.minimum(np.maximum(step, 1e-18), 1e3)
+            grown = np.where(newton, np.minimum(2 * scale, 1.0), 1.5 * scale)
+            scale = np.minimum(np.maximum(np.where(ok, grown, scale / 2), 1e-18), 1e3)
+            step = np.where(newton, step, scale)
+            damping = np.where(newton, scale, damping)
 
 
 def minima_on_sphere(

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qpd
 from qpd import oracle
 from qpd.cli import main
 
@@ -232,6 +236,7 @@ def test_successive_calls_share_no_state(binary_pd, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--grid", "4"],
+    ["--grid", str(10**12)],  # refused before any seed table is built
     ["--tol", "0"],
     ["--tol", "nan"],
     ["--starts", "0"],
@@ -244,6 +249,22 @@ def test_invalid_oracle_flags_exit_cleanly(binary_indef, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_closed_pipe_exits_cleanly():
+    """A reader that closes stdout after one byte (``qpd ... | head -c 1``)
+    gets exit code 1 and no traceback.  The report, about 70 kB, overfills the
+    pipe, so the write fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qpd.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpd.cli", "--mode", "sweep", "--format", "json"] + FAST,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr
 
 
 # A coefficient beyond the interpreter's int-to-str limit (4,300 digits by
@@ -306,45 +327,45 @@ def test_degenerate_binary_searches_once(tmp_path, capsys, monkeypatch):
 # the exact value at the rationalized argmin, so it moves with the argmin.
 GOLDEN_INEQUALITIES = [
     ('C32_i', 220, 0, 4,
-     '47203947824044701004977042714816487450096151018497/6829543450082832165535144766165953637455086573223968545388758040576'),
+     '553767804520104876518147390184482509108628101/196743593389708386461844086795278267904320729980135625817945760000'),
     ('C32_i+swap12+swap13+swap23', 220, 0, 4,
-     '10423499126644707370857105234005801365527182246084101/601948989984688714722144634010969628033457411571098007340005750390625'),
+     '3244597885236141979044103221566893835304708757/11461949032253985143280987917296602195239384754505026941823274127616'),
     ('C32_ii', 217, '16105560601/144149438750625', 0,
-     '2074079643270778344437028889675754596201272182968635817130175841/6222238929635491173038412872604235162932727963505812747100160000'),
+     '28395701857646697496262681134990157674203014742717017689231889851904041/85187105571616157098440586847081394820427174360332545204942268487873121'),
     ('C32_ii+swap12+swap13+swap23', 217, '4966943881/144149438750625', 0,
-     '5381788001359355632607714665769872047236632690556821177072402963001/16145364003959439075167914386908145548020896751176776129243902169616'),
+     '80202491363762617693191461776050067761688985569/240607474090204075966835881640593639340666410000'),
     ('C33_i', 217, '17402232901/144149438750625', 0,
-     '648894536356570055818094741596153182719000126411753851276474261693057/3668258799425771631492077671561726915213463584914812695497212610908416'),
+     '25816249388872636742231424518664692852780047391297376483499250678416/145941564742002173651105020740128763963363575212136702031258481400625'),
     ('C33_i+swap12', 217, '17402232901/144149438750625', 0,
-     '186394093690234881924341540386881443648057523215612757673/1065743393272747691673942672514202083038816580702083645696'),
+     '2936111183948015119536563138414376378908169109023262479156980785723041/16787769581368777750912983910277089901603900766104796128691335976779776'),
     ('C33_i+swap13', 217, '17402232901/144149438750625', 0,
-     '49207566971168460590016451651178938022116311588600685984128734964001/281353546990775211099205249995734155367116907022484831980214912183056'),
-    ('C33_i+swap23', 217, '6263616181/144149438750625', 0,
-     '14452451037370996017750591587403189874350407323454798579283944881/82634615210231792461782463729876324641698500429147233010813833216'),
-    ('C33_ii', 217, '17834457001/144149438750625', 0,
-     '456733818664199680561734237405090523285529841742152589778211285937/8254939341581364601352472407654256028954094949705881454557770285056'),
-    ('C33_ii+swap12', 217, '17834457001/144149438750625', 0,
-     '78546256939322364100987334697386724869916345890746912069606380039057/126279783371370023935448422824178604485039507137275776953271971352576'),
-    ('C33_ii+swap13', 217, '17834457001/144149438750625', 0,
-     '4422633784502666992870420420840794559836544960958548570836763962227833/79934027499304162903754121760815628506592488407688222992290971040666896'),
-    ('C33_ii+swap23', 217, '6695840281/144149438750625', 0,
-     '78381844317386361376854316298713859781275046374340349295418769137745/1416661836457147434385996485916030269815343382786073087399358676437681'),
-    ('C33_iii', 217, '17834457001/144149438750625', 0,
-     '7865833888061983187712708507923675454561205229646090681970902754336/12645997888741284587484163961305724460825776993123698479941155850625'),
-    ('C33_iii+swap12', 217, '17834457001/144149438750625', 0,
-     '2006390349748771571985169912127469994443036424678658187118340162290/36263201794788210500437583394375036456346331762169011072379890873841'),
-    ('C33_iii+swap13', 217, '17834457001/144149438750625', 0,
-     '1760748384820238909284492937609934695510751301578985968880104986380201/31823505329596189775768069463042435667115139904582718088713384397200625'),
-    ('C33_iii+swap23', 217, '6695840281/144149438750625', 0,
-     '34077817843443826326816411486900758548285264361250951667579022065/615917428681324350789574141752570807044851980194715217971562699536'),
-    ('C33_iv', 217, '17402232901/144149438750625', 0,
      '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
+    ('C33_i+swap23', 217, '6263616181/144149438750625', 0,
+     '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
+    ('C33_ii', 217, '17834457001/144149438750625', 0,
+     '628858169703439701493178153928680140581717817530642090514806182866/11365889350095364062579954495900816405641530775914914446025413150625'),
+    ('C33_ii+swap12', 217, '17834457001/144149438750625', 0,
+     '61160904563053552653333411728135130211117126850704846818609362314273/98329138522697223050438427498273209980862747613517789360093168263696'),
+    ('C33_ii+swap13', 217, '17834457001/144149438750625', 0,
+     '3520658907985683123205304413169469805087450758851806270192/63631867272898829897793336416260451603807510090925672583761'),
+    ('C33_ii+swap23', 217, '6695840281/144149438750625', 0,
+     '41506495310167027516738692874193932458971566557028101334718805753/750182244167527336426570421545402141809495564237236098341279605000'),
+    ('C33_iii', 217, '17834457001/144149438750625', 0,
+     '604063802833976305677218971953876354677118732354130689679448410518587/971160805569115266605594252661779134003043687870933143493450700000000'),
+    ('C33_iii+swap12', 217, '17834457001/144149438750625', 0,
+     '2160138271808841922845342992009812116404897306374248151911730/39042018949405235455629382179735982302562118375237144482443601'),
+    ('C33_iii+swap13', 217, '17834457001/144149438750625', 0,
+     '41506495310167027516738692874193932458971566557028101334718805753/750182244167527336426570421545402141809495564237236098341279605000'),
+    ('C33_iii+swap23', 217, '6695840281/144149438750625', 0,
+     '3520658907985683123205304413169469805087450758851806270192/63631867272898829897793336416260451603807510090925672583761'),
+    ('C33_iv', 217, '17402232901/144149438750625', 0,
+     '1224954381885335808786250618200043448488261429026841499741549083666021/7003907761789249101777675684269657272353105640655561315405413224650625'),
     ('C33_iv+swap12', 217, '17402232901/144149438750625', 0,
-     '940677389851245331578113944174977357402304126351621744151564410304881/5317733344063064705668875106019804336090690859422868891973437171360000'),
+     '10912339674748544904850093260670271255990537401226338125901878262801/61688431310962585445528237135233628942730964347906993127784921760000'),
     ('C33_iv+swap13', 217, '17402232901/144149438750625', 0,
-     '460184252725198553767072384611257629655267601965766433180411982881/2631190277074538786354605236933787468406625592833928403520140414976'),
+     '185237975728943922161080157062597674438170765853939293554569461915/1059133070732619929957059541775840779598853502544869352106298683392'),
     ('C33_iv+swap23', 217, '6263616181/144149438750625', 0,
-     '364687482176570256541448400556816060208433081857307947451021377267905/2085169476363339406839160166739940393197914722409575082843068505849856'),
+     '571183143852038444970940831141070898475186018007521099286710388730657/3265847376674715845388942279389366312620861006833423480236430802571536'),
 ]
 
 
