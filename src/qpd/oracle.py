@@ -14,10 +14,11 @@ when every start has stopped, and ``_REFINE_ITERS`` is only a ceiling.
 Newton converges quadratically at a nondegenerate minimum, so a few
 iterations usually suffice.
 
-The seed grid and its monomial matrix depend only on the dimension and the
-grid resolution, so they are built once per ``(dim, grid_resolution)`` and
-cached (read-only); the seed values of a tensor are then one matrix-vector
-product with its coefficient vector.
+The seeds lie on a fixed angular grid: n azimuths for a binary, and n polar
+angles by n azimuths plus the pole for a ternary.  Every monomial factors
+into a polar and an azimuth part there, so a form's seed values are one
+product of O(n) tables cached per ``(dim, grid_resolution)`` (see
+``_seeds``), and only the chosen starts are built as points.
 
 Refinement works on a stack of forms: ``minima_on_sphere`` refines the
 starts of many tensors of one dimension in one loop, and ``min_on_sphere`` is
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -88,14 +90,14 @@ class OracleConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        # A ternary grid of n has n**2 + 1 seeds of 15 monomials each, so the
-        # seed table grows as 120 n**2 bytes: 126 MB at the bound.
+        # A ternary form's n**2 + 1 seed values take 8.4 MB at the grid bound;
+        # the refinement's arrays grow with the number of starts.
         if not 8 <= self.grid_resolution <= 1024:
             raise ValueError("grid_resolution must be between 8 and 1024")
-        if not self.verdict_tol > 0:  # rejects NaN too
-            raise ValueError("verdict_tol must be positive")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        if not 0 < self.verdict_tol < math.inf:  # rejects NaN too
+            raise ValueError("verdict_tol must be positive and finite")
+        if not 1 <= self.starts <= 1024:
+            raise ValueError("starts must be between 1 and 1024")
         if self.max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
 
@@ -197,39 +199,46 @@ def _weights(C: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.concatenate([C[:, None], C[:, None] * E.T], axis=1)[..., None]
 
 
-def _seed_grid(dim: int, n: int) -> np.ndarray:
-    if dim == 2:
-        theta = np.pi * np.arange(n) / n  # hemisphere: antipodes are redundant
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    polar = np.pi * (np.arange(n) + 0.5) / n
-    azimuth = np.pi * np.arange(n) / n
-    th, ph = np.meshgrid(polar, azimuth, indexing="ij")
-    th, ph = th.ravel(), ph.ravel()
-    pts = np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-    )
-    poles = np.array([[0.0, 0.0, 1.0]])
-    return np.concatenate([pts, poles])
-
-
 @functools.lru_cache(maxsize=8)
-def _seed_table(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seed grid and its monomial matrix for every tensor of dimension dim,
-    both read-only."""
-    seeds = _seed_grid(dim, n)
-    E = _exponents(dim)[None]
-    M = np.empty((len(seeds), E.shape[1]))
-    # In blocks of rows, so that no gather index spans the whole grid.  The
-    # full blocks share one gather, and each block is written straight into M.
-    size = min(len(seeds), 4096)
-    full = _gather(E, 1, size)
-    for i in range(0, len(seeds), size):
-        block = seeds[i:i + size]
-        gather = full if len(block) == size else _gather(E, 1, len(block))
-        M[i:i + len(block)] = gather(block[None])[0, 0]
-    seeds.flags.writeable = False
-    M.flags.writeable = False
-    return seeds, M
+def _seeds(dim: int, n: int):
+    """The seed grid of resolution n as two functions: values(C), the form
+    with coefficient row C at every seed, and points(idx), the seeds numbered
+    idx.  Only O(n) tables are built, once per ``(dim, n)``.
+
+    The azimuths phi_j = pi j / n span a half-circle (f is even); A holds the
+    monomials cos^a phi_j sin^b phi_j.  A binary's seeds are this circle, so
+    values = A @ C.  A ternary's seed i n + j is (sin t_i cos phi_j, sin t_i
+    sin phi_j, cos t_i) with t_i = pi (i + 1/2) / n, and seed n**2 is the pole
+    (0, 0, 1).  There x^a y^b z^c = sin^k t cos^(4 - k) t cos^a phi sin^b phi
+    with k = a + b, so the n**2 values are U @ Q with U[i, k] = sin^k t_i
+    cos^(4 - k) t_i and Q[k] = sum over a + b = k of C cos^a phi sin^b phi;
+    the pole's value is the z^4 weight.
+    """
+    E = _exponents(dim)
+    azimuth = np.pi * np.arange(n) / n
+    circle = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
+    A = _gather(E[None, :, :2], 1, n)(circle[None])[0, 0]
+    if dim == 2:
+        return (lambda C: A @ C), (lambda idx: circle[idx])
+    polar = np.pi * (np.arange(n) + 0.5) / n
+    # Row n is the pole, t = 0: with j = 0 it gives (0, 0, 1).
+    sin, cos = np.append(np.sin(polar), 0.0), np.append(np.cos(polar), 1.0)
+    E2 = _exponents(2)  # U's columns are the binary monomials of (sin t, cos t)
+    U = _gather(E2[None], 1, n)(np.stack([sin[:n], cos[:n]], axis=1)[None])[0, 0]
+    degree = E2[:, :1] == E[:, 0] + E[:, 1]  # degree[k, m]: monomial m is in Q[k]
+    [pole] = np.flatnonzero(E[:, 2] == 4)
+
+    def values(C):
+        out = np.empty(n * n + 1)
+        np.matmul(U, (degree * C) @ A.T, out=out[:-1].reshape(n, n))
+        out[-1] = C[pole]
+        return out
+
+    def points(idx):
+        i, j = np.divmod(idx, n)
+        return np.stack([sin[i] * circle[j, 0], sin[i] * circle[j, 1], cos[i]], axis=1)
+
+    return values, points
 
 
 def _lowest(values: np.ndarray, k: int) -> np.ndarray:
@@ -436,14 +445,14 @@ def minima_on_sphere(
         raise ValueError("minima_on_sphere needs tensors of one dimension")
     [dim] = dims
     C = np.stack([_float_terms(T)[0] for T in tensors])
-    seeds, M = _seed_table(dim, cfg.grid_resolution)
+    values, points = _seeds(dim, cfg.grid_resolution)
     starts = []
     for row in C:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = M @ row
-        if not np.all(np.isfinite(values)):
+            v = values(row)
+        if not np.all(np.isfinite(v)):
             raise NonFiniteValue(_OVERFLOW)
-        starts.append(seeds[_lowest(values, cfg.starts)])
+        starts.append(points(_lowest(v, cfg.starts)))
     X, f, iterations = _refine(np.stack(starts), C, _exponents(dim))
     return [_result(T, X[i], f[i], int(iterations[i]), cfg) for i, T in enumerate(tensors)]
 

@@ -9,6 +9,7 @@ import pytest
 import qpd
 from qpd import oracle
 from qpd.cli import main
+from qpd.tensors import MULTI_INDICES
 
 
 def write_tensor(tmp_path, name, dim, entries):
@@ -197,6 +198,7 @@ def test_sweep_mode(capsys):
 @pytest.mark.parametrize("entries", [
     {"1111": "1e400", "2222": 1, "3333": 1},  # float(Fraction) overflows
     {"1111": "1e308", "1122": "1e308", "2222": 1, "3333": 1},  # 6 * 1e308 overflows
+    {"".join(map(str, m)): "1e308" for m in MULTI_INDICES[3]},
 ])
 def test_overflowing_coefficients_exit_cleanly(tmp_path, capsys, entries):
     path = write_tensor(tmp_path, "huge.json", 3, entries)
@@ -243,6 +245,8 @@ def test_successive_calls_share_no_state(binary_pd, capsys):
     ["--starts", "-3"],
     ["--max-denominator", "0"],
     ["--mode", "inequalities", "--samples", "0"],
+    ["--starts", str(10**12)],  # refused before any start is allocated
+    ["--tol", "inf"],  # would make every verdict BoundaryPSD
 ])
 def test_invalid_oracle_flags_exit_cleanly(binary_indef, capsys, flags):
     assert main([binary_indef] + flags) == 1
@@ -265,6 +269,27 @@ def test_closed_pipe_exits_cleanly():
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_largest_grid_memory(ternary_class):
+    """A classify request at the largest grid peaks below 96 MB resident: no
+    table of all n**2 + 1 seeds is built.  The child reports its own peak
+    (VmHWM); its ru_maxrss would include this test process's peak, which a
+    child spawned from it inherits at exec."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qpd.__file__)))
+    child = ("import sys\n"
+             "from qpd.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')],\n"
+             "      file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", child, ternary_class, "--grid", "1024"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert "agreement: agree" in proc.stdout
+    name, kib, unit = proc.stderr.split()[-3:]
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(kib) / 1024 < 96
 
 
 # A coefficient beyond the interpreter's int-to-str limit (4,300 digits by

@@ -20,8 +20,7 @@ from qpd.oracle import (
     _kernel,
     _lowest,
     _refine,
-    _seed_grid,
-    _seed_table,
+    _seeds,
     _tangent_basis,
     _weights,
     min_on_sphere,
@@ -30,7 +29,7 @@ from qpd.oracle import (
     rationalize_and_confirm,
     verify_verdict,
 )
-from qpd.tensors import MULTI_INDICES, BinaryQuartic, build_tensor, evaluate
+from qpd.tensors import MULTI_INDICES, MULTIPLICITIES, BinaryQuartic, build_tensor, evaluate
 from qpd.ternary import STUDIED_LEVELS, SignClassTensor
 from qpd.verdicts import Classification
 
@@ -108,6 +107,20 @@ class TestMinOnSphere:
     def test_overflow(self):
         with pytest.raises(NonFiniteValue):
             min_on_sphere(BinaryQuartic(1e308, 0.0, 1e308, 0.0, 1e308), CFG)
+        with pytest.raises(NonFiniteValue):
+            min_on_sphere(build_tensor(3, dict.fromkeys(MULTI_INDICES[3], 1e308)), CFG)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflowing_seed_values(self, dim):
+        """Every weighted coefficient is finite, but the seed values near x = y,
+        z = 0 are about 2.2e308."""
+        entries = {m: F(7, 4) * 10**308 / w for m, w in zip(MULTI_INDICES[dim],
+                                                               MULTIPLICITIES[dim])
+                   if 3 not in m}
+        T = build_tensor(dim, entries)
+        assert np.all(np.isfinite(_float_terms(T)[0]))
+        with pytest.raises(NonFiniteValue):
+            min_on_sphere(T, CFG)
 
 
 def general_ternary():
@@ -116,29 +129,94 @@ def general_ternary():
     return build_tensor(3, dict(zip(MULTI_INDICES[3], coeffs)))
 
 
+SIGN_CLASS = [SignClassTensor(*s, *c, b).to_quartic()
+              for b in STUDIED_LEVELS
+              for s in product((1, -1), repeat=3)
+              for c in product((1, -1), repeat=3)]
+VARIANTS = [residual_tensor(iid) for iid in CHECKED_VARIANTS]
 DIM_TENSORS = {2: BinaryQuartic(F(3, 2), F(-1, 3), F(1, 4), F(5, 6), 2), 3: general_ternary()}
+
+
+def reference_grid(dim, n):
+    """The seed grid by its definition: n azimuths phi_j = pi j / n on the
+    half-circle, and for ternaries n polar angles t_i = pi (i + 1/2) / n by
+    the azimuths (seed i n + j), then the pole."""
+    if dim == 2:
+        theta = np.pi * np.arange(n) / n
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    polar = np.pi * (np.arange(n) + 0.5) / n
+    azimuth = np.pi * np.arange(n) / n
+    th, ph = np.meshgrid(polar, azimuth, indexing="ij")
+    th, ph = th.ravel(), ph.ravel()
+    pts = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+    return np.concatenate([pts, [[0.0, 0.0, 1.0]]])
+
+
+def all_seeds(dim, n):
+    """Every seed as the oracle builds it: n for a binary, n**2 + 1 for a
+    ternary."""
+    return _seeds(dim, n)[1](np.arange(n ** (dim - 1) + dim - 2))
 
 
 class TestSeedCache:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_cached_seed_values_match_direct_evaluation(self, dim):
+        """A binary's seed values are the mat-vec over the circle's monomials,
+        bit for bit; a ternary's factorized values agree to rounding."""
         C, E = _float_terms(DIM_TENSORS[dim])
-        seeds, M = _seed_table(dim, 64)
-        assert np.array_equal(seeds, _seed_grid(dim, 64))
-        assert np.array_equal(M @ C, _eval_batch(_seed_grid(dim, 64), C, E))
+        values = _seeds(dim, 64)[0](C)
+        direct = direct_monomials(reference_grid(dim, 64), E) @ C
+        if dim == 2:
+            assert same_bits(values, direct)
+            assert same_bits(values, _eval_batch(reference_grid(2, 64), C, E))
+        else:
+            assert np.abs(values - direct).max() <= 1e-14 * np.abs(C).sum()
 
     def test_cached_arrays_are_read_only(self):
-        seeds, M = _seed_table(3, 64)
-        assert not seeds.flags.writeable and not M.flags.writeable
-        with pytest.raises(ValueError):
-            M[0, 0] = 1.0
+        """Values and points are new arrays, so writing to them leaves the
+        cached tables as they were."""
+        C, _ = _float_terms(DIM_TENSORS[3])
+        values, points = _seeds(3, 64)
+        first, seeds = values(C), points(np.arange(10))
+        expected_values, expected_seeds = first.copy(), seeds.copy()
+        first[:] = seeds[:] = 0.0
+        assert same_bits(values(C), expected_values)
+        assert same_bits(points(np.arange(10)), expected_seeds)
 
     def test_second_call_is_a_cache_hit(self):
-        first = _seed_table(3, 40)
-        hits = _seed_table.cache_info().hits
-        second = _seed_table(3, 40)
-        assert _seed_table.cache_info().hits == hits + 1
+        first = _seeds(3, 40)
+        hits = _seeds.cache_info().hits
+        second = _seeds(3, 40)
+        assert _seeds.cache_info().hits == hits + 1
         assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_start_points_match_the_grid(self, dim, n):
+        """Every seed, the pole included, equals the meshgrid formula bit for
+        bit, in the same order."""
+        assert same_bits(all_seeds(dim, n), reference_grid(dim, n))
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_factorized_values_match_direct(self, n):
+        """The U @ Q values equal the direct monomial formula to within
+        1e-14 sum |C|, over the sign-class tensors, the inequality variants
+        and a general ternary."""
+        M = direct_monomials(reference_grid(3, n), _exponents(3))
+        values = _seeds(3, n)[0]
+        for T in SIGN_CLASS[::8] + VARIANTS + [DIM_TENSORS[3]]:
+            C, _ = _float_terms(T)
+            assert np.abs(values(C) - M @ C).max() <= 1e-14 * np.abs(C).sum()
+
+    @pytest.mark.parametrize("n, k", [(256, 32), (64, 8)])
+    def test_starts_match_direct_selection(self, n, k):
+        """The starts are the ones the direct values select, in the same
+        order, for all 256 sign-class tensors and the 20 variants."""
+        M = direct_monomials(reference_grid(3, n), _exponents(3))
+        values = _seeds(3, n)[0]
+        for T in SIGN_CLASS + VARIANTS:
+            C, _ = _float_terms(T)
+            assert np.array_equal(_lowest(values(C), k), _lowest(M @ C, k))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_fused_gradient_matches_exact(self, dim):
@@ -177,10 +255,10 @@ def unit_points(dim, n=500):
 
 
 POINT_SETS = {
-    "seeds-2": (2, lambda: _seed_grid(2, 256)),
-    "seeds-3": (3, lambda: _seed_grid(3, 64)),
-    "seeds-2-16": (2, lambda: _seed_grid(2, 16)),
-    "seeds-3-16": (3, lambda: _seed_grid(3, 16)),
+    "seeds-2": (2, lambda: all_seeds(2, 256)),
+    "seeds-3": (3, lambda: all_seeds(3, 64)),
+    "seeds-2-16": (2, lambda: all_seeds(2, 16)),
+    "seeds-3-16": (3, lambda: all_seeds(3, 16)),
     "unit-2": (2, lambda: unit_points(2)),
     "unit-3": (3, lambda: unit_points(3)),
 }
@@ -217,8 +295,13 @@ class TestPowerTable:
         assert same_bits(G, loop_gradient(X, C, E))
 
     def test_default_seed_table(self):
-        seeds, M = _seed_table(3, OracleConfig().grid_resolution)
-        assert same_bits(M, direct_monomials(np.asarray(seeds), _exponents(3)))
+        """The default binary seed values are the gathered circle monomials
+        times C, bit for bit."""
+        n = OracleConfig().grid_resolution
+        C, E = _float_terms(DIM_TENSORS[2])
+        M = _gather(E[None], 1, n)(all_seeds(2, n)[None])[0, 0]
+        assert same_bits(M, direct_monomials(reference_grid(2, n), E))
+        assert same_bits(_seeds(2, n)[0](C), M @ C)
 
 
 def exact_hessian(T, x):
@@ -263,7 +346,7 @@ class TestSeedSelection:
         ties = rng.integers(0, 5, 1000).astype(float)
         zeros = rng.choice([0.0, -0.0, 1.0], 200)  # +0.0 and -0.0 tie
         C, _ = _float_terms(boundary_tensor())
-        seed_values = _seed_table(3, 256)[1] @ C
+        seed_values = _seeds(3, 256)[0](C)
         for values in (ties, zeros, rng.standard_normal(300), seed_values):
             for k in (1, 2, 32, len(values) - 1, len(values), len(values) + 24):
                 yield values, k
@@ -316,10 +399,6 @@ def test_golden_default_results(name):
     assert r.witness == witness
 
 
-SIGN_CLASS = [SignClassTensor(*s, *c, b).to_quartic()
-              for b in STUDIED_LEVELS
-              for s in product((1, -1), repeat=3)
-              for c in product((1, -1), repeat=3)]
 
 
 # SHA-256 over the default-oracle results of SIGN_CLASS: each min value and
@@ -348,8 +427,8 @@ def test_frozen_starts_have_converged(T, monkeypatch):
     no start by more than 1e-12."""
     cfg = OracleConfig()
     C, E = _float_terms(T)
-    seeds, M = _seed_table(T.dim, cfg.grid_resolution)
-    X, f, _ = _refine(seeds[_lowest(M @ C, cfg.starts)][None], C[None], E)
+    values, points = _seeds(T.dim, cfg.grid_resolution)
+    X, f, _ = _refine(points(_lowest(values(C), cfg.starts))[None], C[None], E)
     monkeypatch.setattr(oracle, "_STALL", oracle._REFINE_ITERS + 1)
     monkeypatch.setattr(oracle, "_REFINE_TOL", 0.0)
     monkeypatch.setattr(oracle, "_DECREMENT", -np.inf)
@@ -369,7 +448,7 @@ class TestStack:
     equals that of searching its tensor alone, bit for bit."""
 
     def test_inequality_variants(self):
-        tensors = [residual_tensor(iid) for iid in CHECKED_VARIANTS]
+        tensors = VARIANTS
         cfg = OracleConfig()
         alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
         assert [bits(r) for r in minima_on_sphere(tensors, cfg)] == [bits(r) for r in alone]
@@ -468,6 +547,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(verdict_tol=0)
     with pytest.raises(ValueError):
+        OracleConfig(verdict_tol=math.inf)
+    with pytest.raises(ValueError):
         OracleConfig(starts=0)
+    with pytest.raises(ValueError):
+        OracleConfig(starts=10**12)  # checked before any allocation
+    OracleConfig(starts=1024, verdict_tol=1e300)
     with pytest.raises(ValueError):
         OracleConfig(max_denominator=0)
