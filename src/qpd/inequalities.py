@@ -7,15 +7,21 @@ b, and six sign bits.  The exchange flags swap the coefficients of designated
 cubic monomial pairs (x1^3*x2 with x1*x2^3 and so on), which is the symmetry
 the inequalities are claimed to respect; in the tensor each exchange flips one
 s bit.
+
+``check_inequalities`` samples every variant at the same exact rational
+points.  They are drawn a chunk at a time as int64 arrays (a denominator L
+and an integer vector n per point), reading the generator's words in bulk
+in the order ``random.randint`` would; each chunk is checked against all
+variants by one float64 product with a proven error bound, and only the
+(point, variant) pairs that bound leaves open are evaluated exactly, in
+Python integers.
 """
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -129,33 +135,71 @@ _STRUCTURED_POINTS = (
 )
 
 
-def _on_diagonal(x) -> bool:
-    return x[0] == x[1] == x[2]
+def _scaled(points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact points as int64 arrays ``(L, n)``: row i is ``integer_point``
+    of the i-th point."""
+    L = np.zeros(len(points), dtype=np.int64)
+    n = np.zeros((len(points), 3), dtype=np.int64)
+    for i, x in enumerate(points):
+        L[i], n[i] = integer_point(x)
+    return L, n
 
 
-def random_rational_point(rng: random.Random) -> tuple[int, tuple[int, int, int]]:
-    """A random point x with coordinates p / q, p in [-100, 100] and q in
-    [1, 100], as ``integer_point(x)``: x = n / L.  It is drawn straight into
-    integers, with the draws of ``Fraction(p, q)`` for each coordinate.
+def _draw_points(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count random points x with coordinates p / q, p in [-100, 100] and q
+    in [1, 100], as int64 arrays ``(L, n)`` of shapes (count,) and (count, 3):
+    x = n / L with L the lcm of the reduced denominators.
 
-    p and q are ``rng.randint(-100, 100)`` and ``rng.randint(1, 100)``, drawn
-    by CPython's own rule for them: words of 8 and 7 random bits, each
-    redrawn until it is below the range's 201 and 100 values.  The stream is
-    the same, without ``randint``'s argument handling."""
-    getrandbits = rng.getrandbits
-    reduced = []
-    for _ in range(3):
-        p = getrandbits(8)
-        while p >= 201:
-            p = getrandbits(8)
-        q = getrandbits(7)
-        while q >= 100:
-            q = getrandbits(7)
-        p, q = p - 100, q + 1
-        g = math.gcd(p, q)
-        reduced.append((p // g, q // g))
-    L = math.lcm(*(q for _, q in reduced))
-    return L, tuple(p * (L // q) for p, q in reduced)
+    p and q are the draws of ``rng.randint(-100, 100)`` and ``rng.randint(1,
+    100)``, p then q for each coordinate, read from the same stream.  By
+    CPython's rule each draw takes the top 8 (p) or 7 (q) bits of one 32-bit
+    word w of the generator, redrawn until it is in range: p = w // 2**24 -
+    100 where w // 2**24 < 201, q = w // 2**25 + 1 where w // 2**25 < 100.  So
+    a word whose top byte is below 200 fills either kind of slot, one whose
+    top byte is 200 fills a p slot only, and any other fills neither.
+    ``getrandbits(32 * k)`` returns the next k words at once, word i in bits
+    32 i to 32 i + 31.  Each word fills at most one slot, so a round reads
+    exactly as many words as there are slots left: no word is read that the
+    ``randint`` draws would not read, and the generator ends in their state.
+    """
+    slots = np.empty(6 * count, dtype=np.int64)  # p, q for each coordinate
+    filled = 0
+    while filled < len(slots):
+        k = len(slots) - filled
+        top = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4") >> 24
+        top = top[top < 201]
+        # Walk the few top bytes of 200: one that lands on a q slot (odd
+        # position) is redrawn, and each later word lands one slot earlier.
+        keep = np.ones(len(top), dtype=bool)
+        dropped = 0
+        for j in np.flatnonzero(top == 200).tolist():
+            if (filled + j - dropped) % 2:
+                keep[j] = False
+                dropped += 1
+        top = top[keep]
+        slots[filled:filled + len(top)] = top
+        filled += len(top)
+    p = slots[0::2].reshape(count, 3) - 100
+    q = (slots[1::2] >> 1).reshape(count, 3) + 1
+    g = np.gcd(p, q)
+    p //= g
+    q //= g
+    L = np.lcm.reduce(q, axis=1)
+    # |p| <= 100 and L <= 100**3, so |n| <= 10**8: nothing overflows.
+    return L, p * (L[:, None] // q)
+
+
+def _chunks(L: np.ndarray, n: np.ndarray, rng: Optional[random.Random] = None,
+            samples: int = 0):
+    """The points ``(L, n)``, then samples random points from rng, as arrays
+    ``(L, n)`` of at most _CHUNK points each; the random points of a chunk
+    are drawn when the chunk is asked for."""
+    while len(L) or samples:
+        k = min(_CHUNK - len(L[:_CHUNK]), samples)
+        drawn_L, drawn_n = _draw_points(rng, k) if k else (L[:0], n[:0])
+        samples -= k
+        yield np.concatenate([L[:_CHUNK], drawn_L]), np.concatenate([n[:_CHUNK], drawn_n])
+        L, n = L[_CHUNK:], n[_CHUNK:]
 
 
 @dataclass
@@ -174,6 +218,7 @@ _CHUNK = 4096
 # A point whose scaled integers L or n reach _FLOAT_LIMIT is checked exactly.
 _FLOAT_LIMIT = 2**52
 _TABLES = np.asarray(EXPONENTS[3])[None]
+_COLUMN = {e: m for m, e in enumerate(EXPONENTS[3])}  # K's column of each monomial
 # Error bound of the float residuals (Higham, Accuracy and Stability of
 # Numerical Algorithms, section 3.1; u = 2**-53, gamma_k = k*u / (1 - k*u)).
 # The entries of n are integers below 2**52, so exact in float64, and every
@@ -190,30 +235,31 @@ _TABLES = np.asarray(EXPONENTS[3])[None]
 _ERROR = 2.0**-46
 
 
-def _settled(scaled, K: np.ndarray, c32: np.ndarray) -> np.ndarray:
+def _settled(L: np.ndarray, n: np.ndarray, K: np.ndarray, c32: np.ndarray) -> np.ndarray:
     """The (point, variant) pairs of one chunk that need no exact residual.
 
-    scaled holds each point's ``integer_point``; K the variants' integer
-    weights in ``EXPONENTS[3]`` order, one row per variant; c32 flags the
-    C32_i variants.  A pair is settled when its float residual F = M @ K.T is
-    certainly positive, |F| exceeding its error bound B, and certainly above
-    the value N / L**4 of some other point, so it is neither a violation nor
-    the chunk's least residual.  Zero, negative and undecided residuals,
-    C32_i on the diagonal (which must vanish) and points with a scaled
-    integer of _FLOAT_LIMIT or more are never settled.
+    L and n hold the chunk's points as int64 arrays (see ``_scaled``); K the
+    variants' integer weights in ``EXPONENTS[3]`` order, one row per variant;
+    c32 flags the C32_i variants.  A pair is settled when its float residual
+    F = M @ K.T is certainly positive, |F| exceeding its error bound B, and
+    certainly above the value N / L**4 of some other point, so it is neither
+    a violation nor the chunk's least residual.  Zero, negative and undecided
+    residuals, C32_i on the diagonal (which must vanish) and points with a
+    scaled integer of _FLOAT_LIMIT or more are never settled.
     """
-    small = [L < _FLOAT_LIMIT and max(map(abs, n)) < _FLOAT_LIMIT for L, n in scaled]
+    small = (L < _FLOAT_LIMIT) & ((n > -_FLOAT_LIMIT) & (n < _FLOAT_LIMIT)).all(axis=1)
     # A point checked exactly gets the row 0, where F = B = 0 settles nothing.
-    X = np.array([n if ok else (0, 0, 0) for (_, n), ok in zip(scaled, small)], dtype=float)
-    L4 = np.array([float(L**4) if ok else 1.0 for (L, _), ok in zip(scaled, small)])[:, None]
+    X = np.where(small[:, None], n, 0).astype(float)
+    L4 = (np.where(small, L, 1).astype(float) ** 2)[:, None] ** 2
     M = _gather(_TABLES, 1, len(X))(X[None])[0, 0]
     F = M @ K.T
     B = _ERROR * (np.abs(M) @ np.abs(K).T)
-    diagonal = np.array([_on_diagonal(n) for _, n in scaled])
+    diagonal = (n[:, 0] == n[:, 1]) & (n[:, 1] == n[:, 2])
     positive = (F > B) & ~(diagonal[:, None] & c32)
     # N / L**4 lies in [(F - B) / L**4, (F + B) / L**4].  Widening B to 2B
-    # covers the rounding of F -+ 2B, of L**4 and of the division, all within
-    # 3u(|F| + 2B) <= 9u|F| < B where F > B.
+    # covers the rounding of F -+ 2B, of the division and the two of L**4 =
+    # (L*L)**2 (L*L is exact for L < 2**26, as for every drawn point), all
+    # within 5u(|F| + 2B) <= 15u|F| < B where F > B.
     least = np.where(positive, (F + 2 * B) / L4, np.inf).min(axis=0)
     return positive & ((F - 2 * B) / L4 > least)
 
@@ -239,25 +285,28 @@ def check_inequalities(
     rng = random.Random(seed)
     tensors = [residual_tensor(iid) for iid in iids]
     forms = [T.integer_form for T in tensors]
-    K = np.array([[float(w * c * D) for _, w, c in T.terms()]
-                  for T, (D, _) in zip(tensors, forms)])
+    K = np.zeros((len(iids), len(_COLUMN)))
+    for t, (_, rows) in enumerate(forms):
+        for k, *e in rows:
+            K[t, _COLUMN[tuple(e)]] = float(k)
     c32 = np.array([iid.name is IneqName.C32_I for iid in iids])
     outcomes = [IneqReport() for _ in iids]
     minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value
 
-    def feed(live, points):
-        """Check points, each given as ``integer_point(x)``, against the
-        variants live (indices into iids), a chunk at a time, until each has
-        failed; return those still standing."""
-        live, points = list(live), iter(points)
-        while live and (chunk := list(islice(points, _CHUNK))):
-            settled = _settled(chunk, K, c32)
-            for i in np.flatnonzero(~settled[:, live].all(axis=1)):
-                L, n = chunk[i]
+    def feed(live, chunks):
+        """Check the chunks of points, each as arrays (L, n), against the
+        variants live (indices into iids) until each has failed; return
+        those still standing."""
+        live = list(live)
+        while live and (chunk := next(chunks, None)) is not None:
+            settled = _settled(*chunk, K, c32)
+            rows = np.flatnonzero(~settled[:, live].all(axis=1))
+            # Only the points left open become Python ints.
+            for i, L, n in zip(rows, chunk[0][rows].tolist(), chunk[1][rows].tolist()):
                 pending = [t for t in live if not settled[i, t]]
                 if not pending:
                     continue
-                nonzero, diagonal, L4 = any(n), _on_diagonal(n), L**4
+                nonzero, diagonal, L4 = any(n), n[0] == n[1] == n[2], L**4
                 # The denominator D_t * L**4 is positive, so N has f_t(x)'s sign.
                 _, numerators = exact_numerators([forms[t] for t in pending], n)
                 failed = False
@@ -282,15 +331,13 @@ def check_inequalities(
                 if failed:
                     live = [t for t in live if isinstance(outcomes[t], IneqReport)]
             for t in live:
-                outcomes[t].checked_points += len(chunk)
+                outcomes[t].checked_points += len(chunk[0])
         return live
 
-    live = feed(range(len(iids)), chain(
-        map(integer_point, _STRUCTURED_POINTS),
-        (random_rational_point(rng) for _ in range(samples))))
+    live = feed(range(len(iids)), _chunks(*_scaled(_STRUCTURED_POINTS), rng, samples))
     # Exercise both directions of C32_i's equality case.
     feed([t for t in live if iids[t].name is IneqName.C32_I],
-         [integer_point((t, t, t)) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])
+         _chunks(*_scaled([(t, t, t) for t in (Fraction(1), Fraction(-3, 7), Fraction(11, 6))])))
 
     # One stacked oracle search for the variants still standing.
     standing = [t for t, report in enumerate(outcomes) if isinstance(report, IneqReport)]

@@ -17,7 +17,6 @@ from qpd.inequalities import (
     UnknownId,
     check_inequalities,
     check_inequality,
-    random_rational_point,
     residual,
     residual_tensor,
 )
@@ -188,19 +187,19 @@ class TestCheckInequality:
         assert rep.equality_points >= 3
 
     def test_points_are_drawn_as_they_are_checked(self, monkeypatch):
-        draw, settled = inequalities.random_rational_point, inequalities._settled
+        draw, settled = inequalities._draw_points, inequalities._settled
         drawn, chunks = [], []  # (points drawn so far, chunk size) per chunk
 
-        def counting_draw(rng):
-            drawn.append(None)
-            return draw(rng)
+        def counting_draw(rng, count):
+            drawn.extend([None] * count)
+            return draw(rng, count)
 
-        def recording_settled(scaled, K, c32):
-            chunks.append((len(drawn), len(scaled)))
-            return settled(scaled, K, c32)
+        def recording_settled(L, n, K, c32):
+            chunks.append((len(drawn), len(L)))
+            return settled(L, n, K, c32)
 
         monkeypatch.setattr(inequalities, "_CHUNK", 8)
-        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        monkeypatch.setattr(inequalities, "_draw_points", counting_draw)
         monkeypatch.setattr(inequalities, "_settled", recording_settled)
         rep = check_inequality(rid(IneqName.C32_I), samples=21, seed=1)
         ahead = len(inequalities._STRUCTURED_POINTS)
@@ -212,23 +211,24 @@ class TestCheckInequality:
         assert rep.checked_points == ahead + 21 + 3
 
     def test_all_variants_share_each_point(self, monkeypatch):
-        draw, settled = inequalities.random_rational_point, inequalities._settled
+        draw, settled = inequalities._draw_points, inequalities._settled
         numerators = inequalities.exact_numerators
         drawn, checks, exact = [], [], []
 
-        def counting_draw(rng):
-            drawn.append(draw(rng))
-            return drawn[-1]
+        def counting_draw(rng, count):
+            L, n = draw(rng, count)
+            drawn.extend(as_points(L, n))
+            return L, n
 
-        def recording_settled(scaled, K, c32):
-            checks.append((scaled, len(K)))
-            return settled(scaled, K, c32)
+        def recording_settled(L, n, K, c32):
+            checks.append((as_points(L, n), len(K)))
+            return settled(L, n, K, c32)
 
         def recording_numerators(forms, x):
-            exact.append(x)
+            exact.append(tuple(x))
             return numerators(forms, x)
 
-        monkeypatch.setattr(inequalities, "random_rational_point", counting_draw)
+        monkeypatch.setattr(inequalities, "_draw_points", counting_draw)
         monkeypatch.setattr(inequalities, "_settled", recording_settled)
         monkeypatch.setattr(inequalities, "exact_numerators", recording_numerators)
         outcomes = check_inequalities(CHECKED_VARIANTS, samples=50, seed=1, cfg=FAST)
@@ -255,10 +255,9 @@ class TestCheckInequality:
         """Points are drawn straight into integers from the same randint
         draws, p then q per coordinate, as Fraction(p, q) points were."""
         ints, fractions = random.Random(seed), random.Random(seed)
-        for _ in range(2000):
-            point = tuple(F(fractions.randint(-100, 100), fractions.randint(1, 100))
-                          for _ in range(3))
-            assert inequalities.random_rational_point(ints) == integer_point(point)
+        points = [tuple(F(fractions.randint(-100, 100), fractions.randint(1, 100))
+                        for _ in range(3)) for _ in range(2000)]
+        assert as_points(*inequalities._draw_points(ints, 2000)) == list(map(integer_point, points))
         assert ints.random() == fractions.random()
 
     def test_rejects_bad_sample_count(self):
@@ -274,7 +273,7 @@ def reference_check(iid, samples, seed, cfg):
     violation, else the report."""
     rng = random.Random(seed)
     report = inequalities.IneqReport()
-    drawn = (inequalities.random_rational_point(rng) for _ in range(samples))
+    drawn = as_points(*inequalities._draw_points(rng, samples))
     points = [*inequalities._STRUCTURED_POINTS,
               *(tuple(F(v, L) for v in n) for L, n in drawn)]
     if iid.name is IneqName.C32_I:
@@ -311,15 +310,78 @@ def as_outcome(result):
     return str(result) if isinstance(result, inequalities.ViolationFound) else result
 
 
+def randint_points(rng, count):
+    """count points drawn as ``Fraction(rng.randint(-100, 100), rng.randint(1,
+    100))`` per coordinate, each as ``integer_point``."""
+    return [integer_point([F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(3)])
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2026])
 def test_sampler_draws_equal_randint(seed):
-    """random_rational_point draws the stream of ``Fraction(rng.randint(-100,
-    100), rng.randint(1, 100))`` per coordinate: 102,000 draws per seed."""
+    """_draw_points draws the stream of ``Fraction(rng.randint(-100, 100),
+    rng.randint(1, 100))`` per coordinate: 102,000 draws per seed, in calls
+    of several sizes, each leaving the generator where randint would."""
     drawn, expected = random.Random(seed), random.Random(seed)
-    for _ in range(17_000):
-        point = [F(expected.randint(-100, 100), expected.randint(1, 100)) for _ in range(3)]
-        assert random_rational_point(drawn) == integer_point(point)
-    assert drawn.getstate() == expected.getstate()
+    for count in (1, 4095, 4096, 0, 5, 8803):
+        assert as_points(*inequalities._draw_points(drawn, count)) == randint_points(expected, count)
+        assert drawn.getstate() == expected.getstate()
+
+
+class ScriptedWords(random.Random):
+    """A generator that deals the given 32-bit words as CPython's own does:
+    ``getrandbits(k)`` takes the top k bits of the next word for k <= 32, and
+    the next k / 32 words, the first lowest, for a multiple of 32."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.read = list(words), 0
+
+    def getrandbits(self, k):
+        count = -(-k // 32)
+        assert k <= 32 or k % 32 == 0
+        assert self.read + count <= len(self.words), "script exhausted"
+        words = self.words[self.read:self.read + count]
+        self.read += count
+        return sum(w << 32 * i for i, w in enumerate(words)) >> (32 * count - k)
+
+
+def words_of(tops, seed=0):
+    """Words with the given top bytes and random low 24 bits."""
+    rng = random.Random(seed)
+    return [top << 24 | rng.getrandbits(24) for top in tops]
+
+
+def test_p_only_words_at_p_and_q_slots_and_round_boundaries():
+    """A word with top byte 200 fills a p slot and is redrawn on a q slot.
+    One point has 6 slots, p q p q p q.  The first round reads 6 words:
+    200 fills p, 200 and 255 are redrawn on q before 5 fills it, 200 fills
+    p and 7 fills q.  The second round reads 2 words for the 2 slots left:
+    200 fills p, and the last word of the round, 200 again, is redrawn on q.
+    The third round reads the one word 200, redrawn on q too; the fourth
+    reads 9, which fills it."""
+    tops = [200, 200, 255, 5, 200, 7] + [200, 200] + [200] + [9]
+    drawer, reference = ScriptedWords(words_of(tops)), ScriptedWords(words_of(tops))
+    L, n = inequalities._draw_points(drawer, 1)
+    # p = top - 100 and q = top // 2 + 1: (100 / 3, 100 / 4, 100 / 5).
+    assert as_points(L, n) == [integer_point((F(100, 3), F(25), F(20)))]
+    assert as_points(L, n) == randint_points(reference, 1)
+    assert drawer.read == reference.read == len(tops)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scripted_words_draw_as_randint(seed):
+    """Scripts rich in p-only (200) and rejected top bytes, drawn in calls
+    of several sizes: each call ends inside the script's stream, where the
+    next begins, and reads exactly the words randint reads."""
+    rng = random.Random(seed)
+    tops = [rng.choices([rng.randrange(200), 200, rng.randrange(201, 256)], weights=[4, 3, 2])[0]
+            for _ in range(6000)]
+    drawer, reference = ScriptedWords(words_of(tops, seed)), ScriptedWords(words_of(tops, seed))
+    for count in (1, 2, 3, 0, 7, 1, 50):
+        assert as_points(*inequalities._draw_points(drawer, count)) == \
+            randint_points(reference, count)
+        assert drawer.read == reference.read
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -397,12 +459,18 @@ def test_filtered_check_equals_exact_reference(name, c, b, seed, samples):
         assert_matches_reference(variants_of(name), samples, seed)
 
 
+def as_points(L, n):
+    """Drawn arrays (L, n) as a list of ``integer_point`` pairs."""
+    return list(zip(L.tolist(), map(tuple, n.tolist())))
+
+
 def scripted(points):
-    """A random_rational_point that deals points in order, from the start for
-    each new generator."""
-    def draw(rng):
-        rng.dealt = getattr(rng, "dealt", -1) + 1
-        return integer_point(points[rng.dealt])
+    """A _draw_points that deals points in order, from the start for each
+    new generator."""
+    def draw(rng, count):
+        start = getattr(rng, "dealt", 0)
+        rng.dealt = start + count
+        return inequalities._scaled(points[start:start + count])
     return draw
 
 
@@ -419,7 +487,7 @@ def test_violations_around_a_chunk_boundary(monkeypatch, at):
     points[13] = (F(1, 2), F(-1, 2), F(1))
     monkeypatch.setattr(inequalities, "_CHUNK", 4)
     monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
-    monkeypatch.setattr(inequalities, "random_rational_point", scripted(points))
+    monkeypatch.setattr(inequalities, "_draw_points", scripted(points))
     monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C32_II, ((-1, -1, -1), F(11, 6)))
     monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C33_I, ((1, 1, 1), F(0)))
     variants = variants_of(IneqName.C32_I, IneqName.C32_II, IneqName.C33_I)
@@ -441,17 +509,62 @@ def test_points_near_the_zero_set_of_c32_i(monkeypatch, seed, on_diagonal):
     among them; C33_i moves onto that level, so that it fails at the first
     diagonal point.  Of the structured points only (1, 0, 0) is kept, since
     (1, 1, 1) would decide both."""
-    def draw(rng):
+    def point(rng):
         s = F(rng.randint(-100, 100), 100) + F(rng.randint(1, 10), 10**13)
         if on_diagonal:
-            return integer_point((s, s, s))
-        return integer_point(
-            (s, s + F(rng.randint(1, 10), 10**13), s + F(rng.randint(-10, 10), 10**13)))
+            return s, s, s
+        return s, s + F(rng.randint(1, 10), 10**13), s + F(rng.randint(-10, 10), 10**13)
+
+    def draw(rng, count):
+        return inequalities._scaled([point(rng) for _ in range(count)])
 
     monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
-    monkeypatch.setattr(inequalities, "random_rational_point", draw)
+    monkeypatch.setattr(inequalities, "_draw_points", draw)
     c, b = inequalities._CLASS_FORM[IneqName.C32_I]
     monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C32_II, (c, b + F(1, 10**30)))
     monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C33_I, (c, b))
     assert_matches_reference(
         variants_of(IneqName.C32_I, IneqName.C32_II, IneqName.C33_I), 200, seed)
+
+
+def test_points_past_the_float_limit_are_checked_exactly(monkeypatch):
+    """Points whose scaled integers reach 2**52 are never settled in floats.
+    C33_i, moved to level 0, first goes negative at a point 2**-53 from
+    (1/5, -1/5, 1), with L = 5 * 2**53.  The diagonal point with L = 2**53
+    is an equality point of C32_i, and C32_ii, moved onto C32_i's level,
+    first vanishes there."""
+    tiny = F(1, 2**53)
+    points = [(F(3), 0, 0), (1 + tiny, 1 + tiny, 1 + tiny),
+              (F(1, 5) + tiny, F(-1, 5), F(1)), (0, F(2), F(1, 2))]
+    assert all(max(L, *map(abs, n)) >= 2**52 for L, n in map(integer_point, points[1:3]))
+    numerators, settled = inequalities.exact_numerators, inequalities._settled
+    exact, floats = [], []
+
+    def recording_numerators(forms, x):
+        exact.append(tuple(x))
+        return numerators(forms, x)
+
+    def recording_settled(L, n, K, c32):
+        result = settled(L, n, K, c32)
+        floats.extend(zip(as_points(L, n), result.tolist()))
+        return result
+
+    monkeypatch.setattr(inequalities, "_STRUCTURED_POINTS", ((1, 0, 0),))
+    monkeypatch.setattr(inequalities, "_draw_points", scripted(points))
+    monkeypatch.setattr(inequalities, "exact_numerators", recording_numerators)
+    monkeypatch.setattr(inequalities, "_settled", recording_settled)
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C32_II, ((-1, -1, -1), F(11, 6)))
+    monkeypatch.setitem(inequalities._CLASS_FORM, IneqName.C33_I, ((1, 1, 1), F(0)))
+    variants = variants_of(IneqName.C32_I, IneqName.C32_II, IneqName.C33_I)
+    outcomes = dict(zip(variants, check_inequalities(variants, len(points), 0, FAST)))
+    big = {integer_point(x) for x in points[1:3]}
+    assert {n for _, n in big} <= set(exact)
+    assert [any(row) for point, row in floats if point in big] == [False, False]
+    assert any(any(row) for point, row in floats if point not in big)
+    assert str(outcomes[rid(IneqName.C33_I)]).endswith(
+        " < 0 at (9007199254740997/45035996273704960, -1/5, 1)")
+    t = "9007199254740993/9007199254740992"
+    assert str(outcomes[rid(IneqName.C32_II)]) == \
+        f"C32_ii: unexpected zero residual at ({t}, {t}, {t})"
+    assert outcomes[rid(IneqName.C32_I)].equality_points == 3 + 1
+    assert_matches_reference(variants, len(points), 0)

@@ -357,6 +357,29 @@ class TestSeedSelection:
             expected = np.argsort(values, kind="stable")[:k]
             assert np.array_equal(_lowest(values, k), expected), (len(values), k)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+    def test_grid_screen_matches_stable_argsort_prefix(self, n):
+        """Screening a ternary's n x n grid by its column minima picks the
+        seeds a full stable argsort would, for every k from 1 to n + 2 (the
+        screen runs for k up to n / 8, the plain path above): on seed values
+        with ties, on values in {0, 1, 2, -0.0} and on values whose least is
+        the pole.  At n = 1024 only the seed values are checked, at every k
+        up to 130 and every 61st k after (each plain k there takes about 3.5
+        ms, so all of them would take 3 s)."""
+        rng = np.random.default_rng(n)
+        C, _ = _float_terms(boundary_tensor())
+        grids = [_seeds(3, n)[0](C)]
+        if n < 1024:
+            grids.append(rng.choice([0.0, 1.0, 2.0, -0.0], n * n + 1))
+            grids.append(np.append(rng.standard_normal(n * n), -5.0))
+            ks = range(1, n + 3)
+        else:
+            ks = sorted({*range(1, 131), *range(1, n + 3, 61), n, n + 1, n + 2})
+        for values in grids:
+            expected = np.argsort(values, kind="stable")
+            for k in ks:
+                assert np.array_equal(_lowest(values, k, n), expected[:k]), (n, k)
+
 
 # Default-oracle results, pinned bit for bit.  These tensors have several
 # symmetric minimizers, so a change in float summation order tends to move the
