@@ -26,10 +26,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .oracle import OracleConfig, _gather, minima_on_sphere, rationalize_and_confirm
+from .oracle import OracleConfig, gather_monomials, minima_on_sphere, rationalize_and_confirm
 from .tensors import (
-    EXPONENTS, Scalar, TernaryQuartic, evaluate, exact_numerators, format_scalar,
-    integer_point,
+    EXPONENTS, TernaryQuartic, evaluate, exact_numerators, format_scalar, integer_point,
 )
 from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
 
@@ -119,8 +118,8 @@ def residual_tensor(iid: InequalityId) -> TernaryQuartic:
     return SignClassTensor(*s, *c, b).to_quartic()
 
 
-def residual(iid: InequalityId, x) -> Scalar:
-    """LHS - RHS of the inequality at x; exact for exact inputs."""
+def residual(iid: InequalityId, x) -> Fraction:
+    """LHS - RHS of the inequality at x, exactly (see ``evaluate``)."""
     if len(x) != 3:
         raise UnknownId("residuals are ternary; x must have 3 components")
     return evaluate(residual_tensor(iid), x)
@@ -251,7 +250,7 @@ def _settled(L: np.ndarray, n: np.ndarray, K: np.ndarray, c32: np.ndarray) -> np
     # A point checked exactly gets the row 0, where F = B = 0 settles nothing.
     X = np.where(small[:, None], n, 0).astype(float)
     L4 = (np.where(small, L, 1).astype(float) ** 2)[:, None] ** 2
-    M = _gather(_TABLES, 1, len(X))(X[None])[0, 0]
+    M = gather_monomials(_TABLES, 1, len(X))(X[None])[0, 0]
     F = M @ K.T
     B = _ERROR * (np.abs(M) @ np.abs(K).T)
     diagonal = (n[:, 0] == n[:, 1]) & (n[:, 1] == n[:, 2])
@@ -268,8 +267,17 @@ def check_inequalities(
     iids: Sequence[InequalityId], samples: int, seed: int = 0,
     cfg: OracleConfig = OracleConfig(),
 ) -> list[Union[IneqReport, ViolationFound]]:
-    """Check each variant in iids as check_inequality does, in one pass over
-    the points: each point is drawn and scaled to integers once, then checked
+    """Check each variant in iids at the structured points, at samples random
+    exact rational points drawn from ``random.Random(seed)`` (see
+    ``_draw_points``) and, for C32_i, at points of its diagonal; then
+    cross-check the variants still standing by one stacked oracle search
+    (configured by cfg) and the exact value at each rationalized argmin.
+
+    A variant fails at its first violation: a negative residual, a zero
+    residual at a nonzero point (for C32_i, one off the diagonal), a nonzero
+    C32_i residual on the diagonal, an oracle minimum below -verdict_tol, or
+    a strict variant's exact value at its rationalized argmin that is not
+    positive.  Each point is drawn and scaled to integers once, then checked
     against every variant that has not yet failed.
 
     A chunk of points is checked against all live variants by one float64
@@ -277,8 +285,10 @@ def check_inequalities(
     settle, every candidate for a variant's least residual and every
     violation, so the reports equal those of exact evaluation at every point.
 
-    Returns, in the order of iids, each variant's IneqReport or the
-    ViolationFound its own check would raise.
+    Returns, in the order of iids, each variant's IneqReport (its least
+    residual at a nonzero point, equality points, points checked, oracle
+    minimum and exact value at the rationalized argmin) or the ViolationFound
+    of its first violation.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -363,13 +373,9 @@ def check_inequalities(
 def check_inequality(
     iid: InequalityId, samples: int, seed: int = 0, cfg: OracleConfig = OracleConfig()
 ) -> IneqReport:
-    """Sample the residual at random exact rational points and the structured
-    point set; raise ViolationFound at the first violated point.
-
-    Also cross-checks via the sphere-minimization oracle on the residual
-    tensor (configured by cfg), with exact confirmation at the rationalized
-    argmin.
-    """
+    """``check_inequalities`` of the one variant iid: its IneqReport, or
+    raise its ViolationFound.  Kept for the span table of
+    ``perfbench/spans.py``, which wraps it."""
     [outcome] = check_inequalities([iid], samples, seed, cfg)
     if isinstance(outcome, ViolationFound):
         raise outcome

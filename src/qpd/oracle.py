@@ -72,7 +72,7 @@ _STALL = 10
 _REFINE_TOL = 1e-12
 _DECREMENT = 1e-15
 _REFINE_ITERS = 500
-# The powers of a coordinate that _gather computes with pow.
+# The powers of a coordinate that gather_monomials computes with pow.
 _HIGH_POWERS = np.arange(2.0, 5.0)
 
 
@@ -135,7 +135,7 @@ def _float_terms(T: Quartic):
     return C, _exponents(T.dim)
 
 
-def _gather(tables: np.ndarray, forms: int, n: int):
+def gather_monomials(tables: np.ndarray, forms: int, n: int):
     """The monomials of a stack of up to ``forms`` sets of n points, as a
     function (X, needed) -> M with M[f, s, i, m] = prod_j X[f, i, j] **
     tables[s, m, j], C-contiguous.  X has shape (k, n, dim) for any k <= forms.
@@ -173,7 +173,7 @@ def _kernel(E: np.ndarray, forms: int, n: int):
     """f and its gradient at a stack of up to ``forms`` sets of n points, as
     one function (X, V, needed) -> (f, G) with X of shape (k, n, dim) and V =
     ``_weights(C, E)`` for the k forms' coefficient rows C; f and G are
-    meaningful only where ``needed`` holds (see ``_gather``).
+    meaningful only where ``needed`` holds (see ``gather_monomials``).
 
     One gather gives the monomials of E and of E with column k lowered by
     one (floored at 0) for each k, so f = M[:, 0] @ C and df/dx_k = M[:, 1 +
@@ -184,7 +184,7 @@ def _kernel(E: np.ndarray, forms: int, n: int):
     """
     dim = E.shape[1]
     lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
-    monomials = _gather(np.maximum(E - lower, 0), forms, n)
+    monomials = gather_monomials(np.maximum(E - lower, 0), forms, n)
 
     def kernel(X, V, needed=True):
         R = np.matmul(monomials(X, needed), V)
@@ -217,14 +217,14 @@ def _seeds(dim: int, n: int):
     E = _exponents(dim)
     azimuth = np.pi * np.arange(n) / n
     circle = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
-    A = _gather(E[None, :, :2], 1, n)(circle[None])[0, 0]
+    A = gather_monomials(E[None, :, :2], 1, n)(circle[None])[0, 0]
     if dim == 2:
         return (lambda C: A @ C), (lambda idx: circle[idx])
     polar = np.pi * (np.arange(n) + 0.5) / n
     # Row n is the pole, t = 0: with j = 0 it gives (0, 0, 1).
     sin, cos = np.append(np.sin(polar), 0.0), np.append(np.cos(polar), 1.0)
     E2 = _exponents(2)  # U's columns are the binary monomials of (sin t, cos t)
-    U = _gather(E2[None], 1, n)(np.stack([sin[:n], cos[:n]], axis=1)[None])[0, 0]
+    U = gather_monomials(E2[None], 1, n)(np.stack([sin[:n], cos[:n]], axis=1)[None])[0, 0]
     degree = E2[:, :1] == E[:, 0] + E[:, 1]  # degree[k, m]: monomial m is in Q[k]
     [pole] = np.flatnonzero(E[:, 2] == 4)
 
@@ -425,21 +425,16 @@ def _refine(X, C, E):
                 # an active but no accepted start.
                 for attempt in range(1, 61):
                     search = active.any(axis=1) > ok.any(axis=1)
-                    every = search.all()
-                    if not every:
-                        if not search.any():
-                            break
-                        active &= search[:, None]  # a form done searching keeps its step
+                    if not search.any():
+                        break
+                    active &= search[:, None]  # a form done searching keeps its step
                     scale = np.where(active, scale / 2, scale)
                     active &= scale > 1e-18
                     if attempt == 60:
                         break
-                    if every:
-                        cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease, V)
-                    else:
-                        s = np.flatnonzero(search)
-                        cand[s], fc[s], Gc[s], ok[s] = trial(
-                            X[s], D[s], scale[s], active[s], f[s], decrease[s], V[s])
+                    s = np.flatnonzero(search)
+                    cand[s], fc[s], Gc[s], ok[s] = trial(
+                        X[s], D[s], scale[s], active[s], f[s], decrease[s], V[s])
             accepted = ok[:, :, None]
             X = np.where(accepted, cand, X)
             G = np.where(accepted, Gc, G)  # the gradient at the accepted points

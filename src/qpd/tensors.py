@@ -3,9 +3,10 @@
 Storage is by sorted multi-index; the multinomial multiplicity is applied at
 evaluation time, so index symmetry is structural rather than enforced by
 copying entries around.  The multi-indices, multiplicities and exponent
-vectors of each dimension are tables built once at import.  Coefficients are
-exact rationals (:class:`fractions.Fraction`) unless the caller supplies
-floats, in which case arithmetic degrades to binary64 in the usual Python way.
+vectors of each dimension are tables built once at import.  Arithmetic is
+exact: an int, a Fraction or a float is read at its exact value (a float at its
+exact binary value, through ``as_integer_ratio``), and ``evaluate`` always
+returns a :class:`fractions.Fraction`.
 
 Exact evaluation clears denominators and sums in integers: each tensor keeps
 its weighted coefficients scaled by the lcm D of their denominators, a point x
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 MultiIndex = Tuple[int, int, int, int]
@@ -61,11 +62,12 @@ class TooManyDigits(TensorError):
     """A rational has more digits than the interpreter converts to a string."""
 
 
-def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
-    """Coerce a user-supplied value to a Scalar.
+def parse_scalar(value: Union[str, int, float, Fraction]) -> Fraction:
+    """Coerce a user-supplied value to an exact rational.
 
-    Strings like ``"11/6"`` or ``"2.5"`` become exact rationals; ints become
-    exact rationals; floats are kept as floats.
+    Strings like ``"11/6"`` or ``"2.5"``, ints and finite floats become
+    exact rationals, a float at its exact binary value (``0.1`` is
+    3602879701896397/2**55); inf and nan are refused.
     """
     if isinstance(value, bool):
         raise TensorError(f"boolean is not a valid coefficient: {value!r}")
@@ -79,7 +81,9 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return value
+        if not math.isfinite(value):
+            raise TensorError(f"coefficient is not finite: {value!r}")
+        return Fraction(value)
     raise TensorError(f"cannot parse scalar {value!r}")
 
 
@@ -146,9 +150,6 @@ def _canonical_key(key, dim: int) -> MultiIndex:
     return tuple(sorted(key))
 
 
-_EXACT = (int, Fraction)
-
-
 class _QuarticTerms:
     """Term iteration and the exact integer form, shared by both quartic
     classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order."""
@@ -161,18 +162,17 @@ class _QuarticTerms:
         return self.coeffs[POSITIONS[self.dim][tuple(sorted(midx))]]
 
     @functools.cached_property
-    def integer_form(self) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(D, rows)``: D is the lcm of the coefficient denominators and each
         nonzero coefficient c_m gives a row ``(k_m, *exponents)`` with integer
         weight k_m = multiplicity * c_m * D, so f(x) = sum_m k_m x^e_m / D.
-        None when a coefficient is not an int or a Fraction."""
-        if not all(isinstance(c, _EXACT) for c in self.coeffs):
-            return None
-        D = math.lcm(*(c.denominator for c in self.coeffs))
+        The coefficients are scaled to integers c_m * D as ``integer_point``
+        scales a point."""
+        D, scaled = integer_point(self.coeffs)
         rows = tuple(
-            (w * c.numerator * (D // c.denominator), *e)
-            for e, w, c in zip(EXPONENTS[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
-            if c != 0
+            (w * k, *e)
+            for e, w, k in zip(EXPONENTS[self.dim], MULTIPLICITIES[self.dim], scaled)
+            if k != 0
         )
         return D, rows
 
@@ -254,36 +254,28 @@ def check_dim(T: Quartic, x: Sequence[Scalar]) -> None:
         raise DimensionMismatch(f"vector of length {len(x)} against dim-{T.dim} tensor")
 
 
-def evaluate(T: Quartic, x: Sequence[Scalar]) -> Scalar:
+def evaluate(T: Quartic, x: Sequence[Scalar]) -> Fraction:
     """The quartic form at x: sum over sorted multi-indices of
-    multiplicity * coefficient * monomial.  Exact (a Fraction, computed in
-    integers) when the coefficients and x are all ints or Fractions."""
+    multiplicity * coefficient * monomial, always an exact Fraction computed
+    in integers; a float coefficient or coordinate counts at its exact binary
+    value."""
     check_dim(T, x)
     form = T.integer_form
-    if form is not None and all(isinstance(v, _EXACT) for v in x):
-        L4, (total,) = exact_numerators((form,), x)
-        return Fraction(total, form[0] * L4)
-    total: Scalar = 0
-    for midx, w, c in T.terms():
-        if c == 0:
-            continue
-        mono = 1
-        for i in midx:
-            mono = mono * x[i - 1]
-        total = total + w * c * mono
-    return total
+    L4, (total,) = exact_numerators((form,), x)
+    return Fraction(total, form[0] * L4)
 
 
-def integer_point(x: Sequence[Union[int, Fraction]]) -> tuple[int, tuple[int, ...]]:
-    """``(L, n)`` for an exact point x: L is the lcm of x's denominators and n
-    is the integer vector L*x."""
-    L = math.lcm(*(v.denominator for v in x))
-    return L, tuple(v.numerator * (L // v.denominator) for v in x)
+def integer_point(x: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
+    """``(L, n)`` for a point x, each coordinate read by ``as_integer_ratio``:
+    L is the lcm of x's denominators and n is the integer vector L*x."""
+    ratios = [v.as_integer_ratio() for v in x]
+    L = math.lcm(*(d for _, d in ratios))
+    return L, tuple(p * (L // d) for p, d in ratios)
 
 
-def exact_numerators(forms, x: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
+def exact_numerators(forms, x: Sequence[Scalar]) -> tuple[int, list[int]]:
     """``(L**4, [N_t])`` for integer forms ``(D_t, rows_t)`` (see
-    ``integer_form``) at one exact point x: f_t(x) = N_t / (D_t * L**4), where
+    ``integer_form``) at one point x: f_t(x) = N_t / (D_t * L**4), where
     ``(L, n) = integer_point(x)``.  x is scaled to n once, and every form sums
     its rows k_m n^e_m over the same powers; for an integer x, L = 1."""
     L, scaled = integer_point(x)
@@ -393,13 +385,11 @@ def _check_digits(value: Union[int, Fraction]) -> Union[int, Fraction]:
     return value
 
 
-def format_scalar(value: Scalar):
-    """JSON-friendly rendering: exact rationals as "p/q" strings (plain ints
-    when the denominator is 1), floats as numbers.  Raises TooManyDigits for
-    a rational the interpreter cannot print."""
-    if isinstance(value, (int, Fraction)):
-        _check_digits(value)
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
+def format_scalar(value: Union[int, Fraction]):
+    """JSON-friendly rendering of an exact rational: a "p/q" string, or a
+    plain int when the denominator is 1.  Raises TooManyDigits for a rational
+    the interpreter cannot print."""
+    _check_digits(value)
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"

@@ -60,7 +60,6 @@ def test_parse_errors(doc):
 def test_format_scalar():
     assert format_scalar(F(-72, 625)) == "-72/625"
     assert format_scalar(F(4, 2)) == 2
-    assert format_scalar(0.5) == 0.5
 
 
 LIMIT = sys.get_int_max_str_digits()

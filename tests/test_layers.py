@@ -1,7 +1,8 @@
 """Each module of the package imports only from lower layers.
 
 The layers, lowest first: tensors < verdicts < oracle < binary, ternary <
-inequalities < cli.  Modules on one layer may not import each other.  Every
+inequalities < cli.  Modules on one layer may not import each other, and no
+module imports an underscore-prefixed (private) name from another.  Every
 import statement counts, including those inside function bodies; the package
 ``__init__`` is the public facade and may import any module.
 """
@@ -26,19 +27,25 @@ PACKAGE = Path(qpd.__file__).parent
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
+def package_parts(node):
+    """The package-relative module path of a ``from ... import`` node as a
+    list of names (empty for ``from . import name``), or None when it
+    imports from outside the package."""
+    parts = node.module.split(".") if node.module else []
+    if node.level > 0:
+        return parts
+    return parts[1:] if parts[:1] == ["qpd"] else None
+
+
 def package_imports(path):
     """Names of the package modules that a source file imports."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            parts = node.module.split(".") if node.module else []
-            if node.level == 0:
-                if parts[:1] != ["qpd"]:
-                    continue
-                parts = parts[1:]
+            parts = package_parts(node)
             if parts:
                 found.add(parts[0])
-            else:  # from . import name
+            elif parts == []:  # from . import name
                 found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -58,6 +65,36 @@ def test_imports_point_downward(module):
     imported = package_imports(PACKAGE / f"{module}.py")
     upward = sorted(m for m in imported if LAYER[m] >= LAYER[module])
     assert upward == [], f"{module} imports {upward} from its own or a higher layer"
+
+
+def private_imports(path):
+    """``module.name`` of each underscore-prefixed name that a source file
+    imports from a package module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (parts := package_parts(node)) is not None:
+            prefix = ".".join(parts + [""])
+            found.update(prefix + alias.name for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_no_private_imports(module):
+    assert private_imports(PACKAGE / f"{module}.py") == set()
+
+
+def test_private_import_scan(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "from fractions import _gcd\n"
+        "from .oracle import OracleConfig, _gather as gather\n"
+        "from . import _helpers\n"
+        "def f():\n"
+        "    from qpd.tensors import _EXACT\n"
+    )
+    assert private_imports(source) == {"oracle._gather", "_helpers", "tensors._EXACT"}
 
 
 def test_ternary_does_not_import_the_oracle():

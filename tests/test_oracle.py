@@ -15,7 +15,6 @@ from qpd.oracle import (
     OracleConfig,
     _exponents,
     _float_terms,
-    _gather,
     _hessian_table,
     _kernel,
     _lowest,
@@ -23,6 +22,7 @@ from qpd.oracle import (
     _seeds,
     _tangent_basis,
     _weights,
+    gather_monomials,
     min_on_sphere,
     minima_on_sphere,
     negative_witness,
@@ -279,7 +279,7 @@ class TestPowerTable:
         C, E = _float_terms(DIM_TENSORS[dim])
         # E and, for each k, E with column k lowered: the kernel's tables.
         tables = [E] + [np.maximum(E - np.eye(dim, dtype=int)[k], 0) for k in range(dim)]
-        M = _gather(np.stack(tables), 1, len(X))(X[None])[0]
+        M = gather_monomials(np.stack(tables), 1, len(X))(X[None])[0]
         assert M.flags.c_contiguous
         for Ms, Es in zip(M, tables):
             assert same_bits(Ms, direct_monomials(X, Es))
@@ -299,7 +299,7 @@ class TestPowerTable:
         times C, bit for bit."""
         n = OracleConfig().grid_resolution
         C, E = _float_terms(DIM_TENSORS[2])
-        M = _gather(E[None], 1, n)(all_seeds(2, n)[None])[0, 0]
+        M = gather_monomials(E[None], 1, n)(all_seeds(2, n)[None])[0, 0]
         assert same_bits(M, direct_monomials(reference_grid(2, n), E))
         assert same_bits(_seeds(2, n)[0](C), M @ C)
 
@@ -471,10 +471,13 @@ class TestStack:
     equals that of searching its tensor alone, bit for bit."""
 
     def test_inequality_variants(self):
+        """At grid 8 two variants backtrack: searched alone, each is its whole
+        stack; stacked, only their rows search on while the others wait."""
         tensors = VARIANTS
-        cfg = OracleConfig()
-        alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
-        assert [bits(r) for r in minima_on_sphere(tensors, cfg)] == [bits(r) for r in alone]
+        for cfg in (OracleConfig(), OracleConfig(grid_resolution=8)):
+            alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
+            stacked = minima_on_sphere(tensors, cfg)
+            assert [bits(r) for r in stacked] == [bits(r) for r in alone]
 
     def test_slow_forms_keep_their_own_iterations(self):
         """(x + y)**4 and (x - y)**4 refine for over 10 iterations, since Newton

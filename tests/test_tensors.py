@@ -14,6 +14,7 @@ from qpd.tensors import (
     BinaryQuartic,
     ConflictingEntries,
     DimensionMismatch,
+    TensorError,
     TernaryQuartic,
     build_tensor,
     evaluate,
@@ -39,6 +40,15 @@ def test_parse_scalar_exact_fraction():
     assert parse_scalar("11/6") == F(11, 6)
     assert parse_scalar(3) == F(3)
     assert parse_scalar("2.5") == F(5, 2)
+    # A float is read at its exact binary value.
+    assert type(parse_scalar(0.1)) is F
+    assert parse_scalar(0.1) == F(3602879701896397, 2**55)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_coefficients_are_refused(value):
+    with pytest.raises(TensorError):
+        build_tensor(2, {(1, 1, 1, 1): value, (2, 2, 2, 2): 1})
 
 
 def test_multi_index_counts():
@@ -262,25 +272,29 @@ def test_integer_form_lives_on_the_tensor():
     # k_m = multiplicity * c_m * D for the four nonzero coefficients.
     assert rows == ((6, 4, 0), (-16, 3, 1), (60, 1, 3), (84, 0, 4))
     assert T == BinaryQuartic(F(1, 2), F(-1, 3), 0, F(5, 4), 7)
-    assert BinaryQuartic(1.5, 0, 0, 0, 1).integer_form is None
+    # A float coefficient is read at its exact binary value: 1.5 = 3/2.
+    assert BinaryQuartic(1.5, 0, 0, 0, 1).integer_form == (2, ((3, 4, 0), (2, 0, 4)))
 
 
-# float.hex of float-path results recorded with the Fraction-loop evaluator:
-# any float input keeps the term loop and its multiplication order.
-FLOAT_PINS = [
-    (BinaryQuartic(1.5, -0.25, 0.1, 2.0, 3.0), (0.3, -1.7), "0x1.af55b035bd50fp+3"),
-    (TernaryQuartic(tuple(0.1 * k - 0.7 for k in range(15))), (0.6, -0.8, 1 / 3),
-     "0x1.02e85c0898cf0p-9"),
-    (SignClassTensor(-1, 1, -1, -1, -1, -1, F(11, 6)).to_quartic(), (1 / math.sqrt(3),) * 3,
-     "0x1.4000000000000p-54"),
-    (BinaryQuartic(0.1, 0.2, -0.3, 0.4, 0.5), (F(1, 3), F(-2, 7)), "-0x1.0b973bfb40fd2p-5"),
-    (TernaryQuartic(tuple(F(k - 7, k + 1) for k in range(15))), (F(1, 3), 0.25, -2),
-     "0x1.52fb40ea5c394p+1"),
+# Tensors and points with float coefficients or coordinates, mixed with exact ones.
+FLOAT_INPUTS = [
+    (BinaryQuartic(1.5, -0.25, 0.1, 2.0, 3.0), (0.3, -1.7)),
+    (TernaryQuartic(tuple(0.1 * k - 0.7 for k in range(15))), (0.6, -0.8, 1 / 3)),
+    (SignClassTensor(-1, 1, -1, -1, -1, -1, F(11, 6)).to_quartic(), (1 / math.sqrt(3),) * 3),
+    (BinaryQuartic(0.1, 0.2, -0.3, 0.4, 0.5), (F(1, 3), F(-2, 7))),
+    (TernaryQuartic(tuple(F(k - 7, k + 1) for k in range(15))), (F(1, 3), 0.25, -2)),
 ]
 
 
-@pytest.mark.parametrize("T, x, expected", FLOAT_PINS)
-def test_float_evaluation_is_unchanged(T, x, expected):
-    value = evaluate(T, x)
-    assert isinstance(value, float)
-    assert value.hex() == expected
+def test_float_inputs_are_read_at_their_exact_binary_value():
+    """evaluate returns a Fraction equal to the exact value with every float
+    replaced by Fraction(float)."""
+    def exact(values):
+        return tuple(F(v) if isinstance(v, float) else v for v in values)
+
+    for T, x in FLOAT_INPUTS:
+        coeffs = exact(T.coeffs)
+        T_exact = BinaryQuartic(*coeffs) if T.dim == 2 else TernaryQuartic(coeffs)
+        value = evaluate(T, x)
+        assert type(value) is F
+        assert value == fraction_loop(T_exact, exact(x))
