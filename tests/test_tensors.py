@@ -276,25 +276,40 @@ def test_integer_form_lives_on_the_tensor():
     assert BinaryQuartic(1.5, 0, 0, 0, 1).integer_form == (2, ((3, 4, 0), (2, 0, 4)))
 
 
-# Tensors and points with float coefficients or coordinates, mixed with exact ones.
-FLOAT_INPUTS = [
-    (BinaryQuartic(1.5, -0.25, 0.1, 2.0, 3.0), (0.3, -1.7)),
-    (TernaryQuartic(tuple(0.1 * k - 0.7 for k in range(15))), (0.6, -0.8, 1 / 3)),
-    (SignClassTensor(-1, 1, -1, -1, -1, -1, F(11, 6)).to_quartic(), (1 / math.sqrt(3),) * 3),
-    (BinaryQuartic(0.1, 0.2, -0.3, 0.4, 0.5), (F(1, 3), F(-2, 7))),
-    (TernaryQuartic(tuple(F(k - 7, k + 1) for k in range(15))), (F(1, 3), 0.25, -2)),
+# Tensors and points with float coefficients or coordinates, mixed with exact
+# ones, with the float.hex of the result of the float term loop that evaluate
+# used for float inputs before floats were read at their exact binary value.
+FLOAT_PINS = [
+    (BinaryQuartic(1.5, -0.25, 0.1, 2.0, 3.0), (0.3, -1.7), "0x1.af55b035bd50fp+3"),
+    (TernaryQuartic(tuple(0.1 * k - 0.7 for k in range(15))), (0.6, -0.8, 1 / 3),
+     "0x1.02e85c0898cf0p-9"),
+    (SignClassTensor(-1, 1, -1, -1, -1, -1, F(11, 6)).to_quartic(), (1 / math.sqrt(3),) * 3,
+     "0x1.4000000000000p-54"),
+    (BinaryQuartic(0.1, 0.2, -0.3, 0.4, 0.5), (F(1, 3), F(-2, 7)), "-0x1.0b973bfb40fd2p-5"),
+    (TernaryQuartic(tuple(F(k - 7, k + 1) for k in range(15))), (F(1, 3), 0.25, -2),
+     "0x1.52fb40ea5c394p+1"),
 ]
 
 
-def test_float_inputs_are_read_at_their_exact_binary_value():
+@pytest.mark.parametrize("T, x, expected", FLOAT_PINS)
+def test_float_evaluation_is_unchanged(T, x, expected):
     """evaluate returns a Fraction equal to the exact value with every float
-    replaced by Fraction(float)."""
+    replaced by Fraction(float); the old float result differs from it by no
+    more than the term loop's rounding error bound gamma_n * sum |term|."""
     def exact(values):
-        return tuple(F(v) if isinstance(v, float) else v for v in values)
+        return tuple(F(v) for v in values)
 
-    for T, x in FLOAT_INPUTS:
-        coeffs = exact(T.coeffs)
-        T_exact = BinaryQuartic(*coeffs) if T.dim == 2 else TernaryQuartic(coeffs)
-        value = evaluate(T, x)
-        assert type(value) is F
-        assert value == fraction_loop(T_exact, exact(x))
+    coeffs = exact(T.coeffs)
+    T_exact = BinaryQuartic(*coeffs) if T.dim == 2 else TernaryQuartic(coeffs)
+    point = exact(x)
+    value = evaluate(T, x)
+    assert type(value) is F
+    assert value == fraction_loop(T_exact, point)
+    # Each term takes at most 6 roundings (a point coordinate, the monomial's
+    # products and the coefficient's) and the sum one per term.
+    n = 6 + len(coeffs)
+    magnitude = sum(
+        abs(multiplicity(midx) * c * math.prod(point[i - 1] for i in midx))
+        for midx, c in zip(MULTI_INDICES[T.dim], coeffs)
+    )
+    assert abs(F(float.fromhex(expected)) - value) <= n * F(1, 2**53) * magnitude
