@@ -19,6 +19,7 @@ Python integers.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .oracle import OracleConfig, gather_monomials, minima_on_sphere, rationalize_and_confirm
+from .oracle import OracleConfig, minima_on_sphere, rationalize_and_confirm
 from .tensors import (
-    EXPONENTS, TernaryQuartic, evaluate, exact_numerators, format_scalar, integer_point,
+    EXPONENTS, MULTI_INDICES, TernaryQuartic, evaluate, exact_numerators, format_scalar,
+    integer_point,
 )
 from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
 
@@ -144,6 +146,19 @@ def _scaled(points) -> tuple[np.ndarray, np.ndarray]:
     return L, n
 
 
+@functools.cache
+def _reduced() -> np.ndarray:
+    """``_reduced()[:, t, u]`` is (t - 100) / (u + 1) in lowest terms,
+    numerator then denominator: the p and q that the top bytes t and u draw
+    (see ``_draw_points``).  Built on first use: ``np.gcd`` over the 20,100
+    pairs takes about half a millisecond, which every CLI start would pay."""
+    p, q = np.arange(-100, 101)[:, None], np.arange(1, 101)
+    g = np.gcd(p, q)
+    table = np.stack([p // g, q // g]).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def _draw_points(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
     """count random points x with coordinates p / q, p in [-100, 100] and q
     in [1, 100], as int64 arrays ``(L, n)`` of shapes (count,) and (count, 3):
@@ -178,12 +193,9 @@ def _draw_points(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray
         top = top[keep]
         slots[filled:filled + len(top)] = top
         filled += len(top)
-    p = slots[0::2].reshape(count, 3) - 100
-    q = (slots[1::2] >> 1).reshape(count, 3) + 1
-    g = np.gcd(p, q)
-    p //= g
-    q //= g
-    L = np.lcm.reduce(q, axis=1)
+    slots = slots.reshape(count, 3, 2)
+    p, q = _reduced()[:, slots[..., 0], slots[..., 1] >> 1].astype(np.int64)
+    L = np.lcm(np.lcm(q[:, 0], q[:, 1]), q[:, 2])
     # |p| <= 100 and L <= 100**3, so |n| <= 10**8: nothing overflows.
     return L, p * (L[:, None] // q)
 
@@ -216,22 +228,48 @@ class IneqReport:
 _CHUNK = 4096
 # A point whose scaled integers L or n reach _FLOAT_LIMIT is checked exactly.
 _FLOAT_LIMIT = 2**52
-_TABLES = np.asarray(EXPONENTS[3])[None]
 _COLUMN = {e: m for m, e in enumerate(EXPONENTS[3])}  # K's column of each monomial
+# The quadratic monomials x_i x_j (i <= j) by their index pairs, and each
+# quartic monomial (i, j, k, l) of MULTI_INDICES[3] (in EXPONENTS[3] order) as
+# the product of the pairs (i, j) and (k, l), by their positions here.
+_PAIRS = [(i, j) for i in (1, 2, 3) for j in range(i, 4)]
+_QUADRATIC = np.array(_PAIRS).T - 1
+_HALVES = np.array([(_PAIRS.index(m[:2]), _PAIRS.index(m[2:])) for m in MULTI_INDICES[3]]).T
 # Error bound of the float residuals (Higham, Accuracy and Stability of
 # Numerical Algorithms, section 3.1; u = 2**-53, gamma_k = k*u / (1 - k*u)).
 # The entries of n are integers below 2**52, so exact in float64, and every
-# monomial of M is a nonzero integer or 0, so nothing underflows.  Allow each
-# power n_j**e 4 ulps (relative 8u; pow is good to about one ulp), two
-# rounded products per monomial and one rounding of each integer weight in
-# K.  A dot product of 15 terms in any order, FMA or not, adds gamma_15 of
-# the sum of |terms|.  So the computed F is within
-#   ((1 + 8u)**3 * (1 + u)**3 * (1 + gamma_15) - 1) * (|M| @ |K|.T) < 43u * (|M| @ |K|.T)
+# monomial of M is a nonzero integer or 0, so nothing underflows.  Each
+# monomial is the product of two quadratic monomials n_i n_j, so it takes
+# three roundings (one per quadratic monomial and one for their product),
+# and each integer weight in K takes one.  A dot product of 15 terms in any
+# order, FMA or not, adds gamma_15 of the sum of |terms|.  So the computed F
+# is within
+#   ((1 + u)**4 * (1 + gamma_15) - 1) * (|M| @ |K|.T) < 20u * (|M| @ |K|.T)
 # of the exact numerator N, with |M| and |K| as computed and summed exactly;
 # their computed product is at most gamma_15 below that.  The bound B uses
-# 128u, a margin of almost three, and 2**-46 is a power of two, so scaling
-# by it is exact.
+# 128u, a margin of over six, and 2**-46 is a power of two, so scaling by it
+# is exact.
 _ERROR = 2.0**-46
+
+
+def _float_weights(forms) -> np.ndarray:
+    """The weights of integer forms ``(D, rows)`` (see ``integer_form``) as
+    float rows in ``EXPONENTS[3]`` order, one row per form."""
+    K = np.zeros((len(forms), len(_COLUMN)))
+    for t, (_, rows) in enumerate(forms):
+        for k, *e in rows:
+            K[t, _COLUMN[tuple(e)]] = float(k)
+    return K
+
+
+def _float_residuals(X: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, B)`` at integer points X (rows of floats below 2**52 in
+    magnitude) for weight rows K: F = M @ K.T with M the points' quartic
+    monomials, each the product of two quadratic ones, and B = _ERROR * (|M|
+    @ |K|.T), so that |F - N| <= B for the exact numerators N."""
+    Q = X[:, _QUADRATIC[0]] * X[:, _QUADRATIC[1]]
+    M = Q[:, _HALVES[0]] * Q[:, _HALVES[1]]
+    return M @ K.T, _ERROR * (np.abs(M) @ np.abs(K).T)
 
 
 def _settled(L: np.ndarray, n: np.ndarray, K: np.ndarray, c32: np.ndarray) -> np.ndarray:
@@ -240,9 +278,10 @@ def _settled(L: np.ndarray, n: np.ndarray, K: np.ndarray, c32: np.ndarray) -> np
     L and n hold the chunk's points as int64 arrays (see ``_scaled``); K the
     variants' integer weights in ``EXPONENTS[3]`` order, one row per variant;
     c32 flags the C32_i variants.  A pair is settled when its float residual
-    F = M @ K.T is certainly positive, |F| exceeding its error bound B, and
-    certainly above the value N / L**4 of some other point, so it is neither
-    a violation nor the chunk's least residual.  Zero, negative and undecided
+    F (see ``_float_residuals``) is certainly positive, F exceeding its error
+    bound B, and certainly above the value N / L**4 of some other point, so
+    it is neither a violation nor the chunk's least residual.  Zero, negative
+    and undecided
     residuals, C32_i on the diagonal (which must vanish) and points with a
     scaled integer of _FLOAT_LIMIT or more are never settled.
     """
@@ -250,9 +289,7 @@ def _settled(L: np.ndarray, n: np.ndarray, K: np.ndarray, c32: np.ndarray) -> np
     # A point checked exactly gets the row 0, where F = B = 0 settles nothing.
     X = np.where(small[:, None], n, 0).astype(float)
     L4 = (np.where(small, L, 1).astype(float) ** 2)[:, None] ** 2
-    M = gather_monomials(_TABLES, 1, len(X))(X[None])[0, 0]
-    F = M @ K.T
-    B = _ERROR * (np.abs(M) @ np.abs(K).T)
+    F, B = _float_residuals(X, K)
     diagonal = (n[:, 0] == n[:, 1]) & (n[:, 1] == n[:, 2])
     positive = (F > B) & ~(diagonal[:, None] & c32)
     # N / L**4 lies in [(F - B) / L**4, (F + B) / L**4].  Widening B to 2B
@@ -295,10 +332,7 @@ def check_inequalities(
     rng = random.Random(seed)
     tensors = [residual_tensor(iid) for iid in iids]
     forms = [T.integer_form for T in tensors]
-    K = np.zeros((len(iids), len(_COLUMN)))
-    for t, (_, rows) in enumerate(forms):
-        for k, *e in rows:
-            K[t, _COLUMN[tuple(e)]] = float(k)
+    K = _float_weights(forms)
     c32 = np.array([iid.name is IneqName.C32_I for iid in iids])
     outcomes = [IneqReport() for _ in iids]
     minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value

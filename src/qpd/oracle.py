@@ -28,18 +28,24 @@ search is no longer evaluated, so every form's result equals that of
 searching it alone, bit for bit.  The stack pays the loop's fixed cost per
 numpy call once for all its forms.
 
-f and its gradient are evaluated together, in one kernel built per
-``_refine`` call: a precomputed flat index gathers every monomial of f and of
-each df/dx_k from one power table ``X[i, j] ** e`` (e = 0..4) with one
-``take``, and the gathered factors are multiplied in x_1, x_2, ... order.  f
-and each df/dx_k are then one mat-vec per form over a contiguous (n, m)
-matrix, so products and sums keep the order of the direct formulas and the
-results equal theirs bit for bit.  A backtracking candidate is evaluated
-once (the powers of frozen starts, whose candidates are never accepted, are
-not recomputed), and the gradient of an accepted point is carried into the
-next iteration.  The Hessian is a quadratic form in x: its distinct entries
-are the quadratic monomials x_k x_l times a per-form weight matrix (6 x 6 for
-ternaries), which ``_hessian_table`` gathers exactly from the coefficients.
+f and its gradient are evaluated together, in one kernel (``_kernel``): a
+C-contiguous index, cached read-only per ``(dim, n)``, gathers every monomial
+of f and of each df/dx_k from each form's power table ``X[i, j] ** e`` (e =
+0..4) with one ``take``, and the gathered factors are multiplied in x_1,
+x_2, ... order.  f and each df/dx_k are then one mat-vec per form over a
+contiguous (n, m) matrix, so products and sums keep the order of the direct
+formulas and the results equal theirs bit for bit.  The power and factor
+buffers belong to one ``_refine`` call, so searches do not share them.  A
+backtracking candidate is evaluated once (the powers of frozen starts, whose
+candidates are never accepted, are not recomputed), and the gradient of an
+accepted point is carried into the next iteration.  The Hessian is a
+quadratic form in x: its distinct entries are the quadratic monomials x_k
+x_l times a per-form weight matrix (6 x 6 for ternaries), which
+``_hessian_table`` gathers exactly from the coefficients.
+
+Seeding reads a ternary's n**2 + 1 seed values once, to pick its starts
+(``_lowest``); they are scanned for overflow only when sum |C|, which bounds
+them, reaches 2**1020.
 """
 from __future__ import annotations
 
@@ -135,27 +141,20 @@ def _float_terms(T: Quartic):
     return C, _exponents(T.dim)
 
 
-def gather_monomials(tables: np.ndarray, forms: int, n: int):
-    """The monomials of a stack of up to ``forms`` sets of n points, as a
-    function (X, needed) -> M with M[f, s, i, m] = prod_j X[f, i, j] **
-    tables[s, m, j], C-contiguous.  X has shape (k, n, dim) for any k <= forms.
-
-    Every entry is gathered by one ``take`` with an index built here, from the
-    power table ``X[..., None] ** arange(5)`` (a quartic's monomials use no
-    other powers), and the factors are multiplied in x_1, x_2, ... order, so
-    M[f, s] equals ``np.prod(X[f, :, None, :] ** tables[s], axis=-1)`` bit for
-    bit.  Index and buffers are form-major and built once for the whole
-    stack: k forms use their first k rows.  Powers 0 and 1 are exactly 1 and
-    X, so only powers 2 to 4 call ``pow``, and only for the points where
-    ``needed`` (True, or a (k, n, 1, 1) mask) holds; the monomials of the
-    other points are left over from an earlier call.
-    """
+def _gather_index(tables: np.ndarray, n: int) -> np.ndarray:
+    """index[j, s, i, m], the position of X[i, j] ** tables[s, m, j] in one
+    form's power table of shape (n, dim, 5), flattened.  It is made
+    C-contiguous, so that ``take`` walks it in order."""
     dim = tables.shape[-1]
-    # index[f, j, s, i, m] is the position of X[f, i, j] ** tables[s, m, j].
-    points = 5 * dim * np.arange(forms * n).reshape(forms, 1, 1, n, 1)
-    index = (points + 5 * np.arange(dim)[:, None, None, None]
-             + np.moveaxis(tables, -1, 0)[:, :, None])
-    factors = np.empty(index.shape)  # reused: each call's M is a new array
+    points = 5 * dim * np.arange(n)[:, None] + 5 * np.arange(dim)[:, None, None, None]
+    return np.ascontiguousarray(points + np.moveaxis(tables, -1, 0)[:, :, None])
+
+
+def _gatherer(index: np.ndarray, forms: int):
+    """The monomials function of ``gather_monomials`` for a gather index, with
+    power and factor buffers of its own for up to ``forms`` forms."""
+    dim, _, n, _ = index.shape
+    factors = np.empty((forms,) + index.shape)  # reused: each call's M is a new array
     powers = np.ones((forms, n, dim, 5))
 
     def monomials(X, needed=True):
@@ -164,27 +163,54 @@ def gather_monomials(tables: np.ndarray, forms: int, n: int):
         P[..., 1] = X
         np.power(X[..., None], _HIGH_POWERS, out=P[..., 2:], where=needed)
         # The index is in range; "clip" spares take a buffered bounds check.
-        return np.multiply.reduce(P.take(index[:k], out=factors[:k], mode="clip"), axis=1)
+        F = np.take(P.reshape(k, -1), index, axis=1, out=factors[:k], mode="clip")
+        return np.multiply.reduce(F, axis=1)
 
     return monomials
 
 
-def _kernel(E: np.ndarray, forms: int, n: int):
+def gather_monomials(tables: np.ndarray, forms: int, n: int):
+    """The monomials of a stack of up to ``forms`` sets of n points, as a
+    function (X, needed) -> M with M[f, s, i, m] = prod_j X[f, i, j] **
+    tables[s, m, j], C-contiguous.  X has shape (k, n, dim) for any k <= forms.
+
+    Every entry is gathered by one ``take`` with an index built here (see
+    ``_gather_index``), from each form's power table ``X[..., None] **
+    arange(5)`` (a quartic's monomials use no other powers), and the factors
+    are multiplied in x_1, x_2, ... order, so M[f, s] equals ``np.prod(X[f,
+    :, None, :] ** tables[s], axis=-1)`` bit for bit.  The buffers are built
+    once for the whole stack: k forms use their first k rows.  Powers 0 and 1
+    are exactly 1 and X, so only powers 2 to 4 call ``pow``, and only for the
+    points where ``needed`` (True, or a (k, n, 1, 1) mask) holds; the
+    monomials of the other points are left over from an earlier call.
+    """
+    return _gatherer(_gather_index(tables, n), forms)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_index(dim: int, n: int) -> np.ndarray:
+    """The kernel's read-only gather index for n points (see ``_kernel``)."""
+    lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
+    index = _gather_index(np.maximum(_exponents(dim) - lower, 0), n)
+    index.flags.writeable = False
+    return index
+
+
+def _kernel(dim: int, forms: int, n: int):
     """f and its gradient at a stack of up to ``forms`` sets of n points, as
     one function (X, V, needed) -> (f, G) with X of shape (k, n, dim) and V =
     ``_weights(C, E)`` for the k forms' coefficient rows C; f and G are
     meaningful only where ``needed`` holds (see ``gather_monomials``).
 
-    One gather gives the monomials of E and of E with column k lowered by
-    one (floored at 0) for each k, so f = M[:, 0] @ C and df/dx_k = M[:, 1 +
-    k] @ (C * E[:, k]).  Each is one BLAS mat-vec over a contiguous (n, m)
-    matrix (``np.matmul`` makes one per form and table), which sums in a
-    fixed order, and G is made C-contiguous because numpy sums a row of a
-    differently ordered array in another order.
+    One gather gives the monomials of E = ``_exponents(dim)`` and of E with
+    column k lowered by one (floored at 0) for each k, so f = M[:, 0] @ C and
+    df/dx_k = M[:, 1 + k] @ (C * E[:, k]).  Each is one BLAS mat-vec over a
+    contiguous (n, m) matrix (``np.matmul`` makes one per form and table),
+    which sums in a fixed order, and G is made C-contiguous because numpy
+    sums a row of a differently ordered array in another order.  The gather
+    index is cached per ``(dim, n)``; the buffers belong to each kernel.
     """
-    dim = E.shape[1]
-    lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
-    monomials = gather_monomials(np.maximum(E - lower, 0), forms, n)
+    monomials = _gatherer(_kernel_index(dim, n), forms)
 
     def kernel(X, V, needed=True):
         R = np.matmul(monomials(X, needed), V)
@@ -242,31 +268,25 @@ def _seeds(dim: int, n: int):
 
 
 def _lowest(values: np.ndarray, k: int, n: int = 0) -> np.ndarray:
-    """``np.argsort(values, kind="stable")[:k]`` without sorting every value.
+    """``np.argsort(values, kind="stable")[:k]`` without sorting every value:
+    the values at or below a bound with at least k values at or below it are
+    sorted by (value, index).
 
-    With n = 0 the values at or below the k-th smallest are sorted.  With n >
-    0, values[:n * n] is read as an n x n grid (a ternary's seeds, the pole
-    after them) and screened by its column minima: the k-th smallest of those
-    and the values after the grid is a bound with at least k values at or
-    below it, and every such value lies in a column whose minimum is at or
-    below it, or after the grid.  Only those columns are scanned, and the
-    values at or below the bound are sorted by (value, index).  That holds
-    for any blocking.  The screen pays only while k is a small share of the
-    columns (at grids 256 and 1024 the two paths break even near k = n / 4),
-    so a grid of fewer than 8k columns takes the plain path.
+    With n = 0 the bound is the k-th smallest value.  With n > 0, values[:n *
+    n] is read as an n x n grid (a ternary's seeds, the pole after them), and
+    the bound is the k-th smallest of its column minima and the values after
+    the grid: each is a distinct value, so at least k values lie at or below
+    it.  That bound is looser, so more values are sorted; it pays only while
+    k is a small share of the columns, and a grid of fewer than 8k columns
+    takes the k-th smallest value.
     """
     k = min(k, len(values))
     if n < 8 * k:
-        threshold = np.partition(values, k - 1)[k - 1]
-        candidates = np.flatnonzero(values <= threshold)
-        return candidates[np.argsort(values[candidates], kind="stable")][:k]
-    grid, rest = values[:n * n].reshape(n, n), values[n * n:]
-    minima = grid.min(axis=0)
-    bound = np.partition(np.concatenate([minima, rest]), k - 1)[k - 1]
-    columns = np.flatnonzero(minima <= bound)
-    i, j = np.nonzero(grid[:, columns] <= bound)
-    candidates = np.concatenate([i * n + columns[j], n * n + np.flatnonzero(rest <= bound)])
-    return candidates[np.lexsort((candidates, values[candidates]))][:k]
+        pool = values
+    else:
+        pool = np.concatenate([values[:n * n].reshape(n, n).min(axis=0), values[n * n:]])
+    candidates = np.flatnonzero(values <= np.partition(pool, k - 1)[k - 1])
+    return candidates[np.argsort(values[candidates], kind="stable")][:k]
 
 
 @functools.lru_cache(maxsize=2)
@@ -301,17 +321,20 @@ def _tangent_basis(X: np.ndarray) -> np.ndarray:
     """An orthonormal basis of the tangent space at each unit row of X, shaped
     (..., dim - 1, dim).  For dim 3 it is the branchless basis of Duff et al.,
     "Building an Orthonormal Basis, Revisited" (JCGT, 2017)."""
+    B = np.empty(X.shape[:-1] + (X.shape[-1] - 1, X.shape[-1]))
     if X.shape[-1] == 2:
-        return np.stack([-X[..., 1], X[..., 0]], axis=-1)[..., None, :]
-    x, y, z = np.moveaxis(X, -1, 0)
+        B[..., 0, 0], B[..., 0, 1] = -X[..., 1], X[..., 0]
+        return B
+    x, y, z = X[..., 0], X[..., 1], X[..., 2]
     sign = np.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    B = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], axis=-1)
-    return B.reshape(X.shape[:-1] + (2, 3))
+    B[..., 0, 0], B[..., 0, 1], B[..., 0, 2] = 1.0 + sign * x * x * a, sign * b, -sign * x
+    B[..., 1, 0], B[..., 1, 1], B[..., 1, 2] = b, sign + y * y * a, -y
+    return B
 
 
-def _direction(X, G, W, pairs, entry):
+def _direction(X, G, W, pairs, lines):
     """Each start's step direction D, its predicted decrease, the squared
     tangential gradient norm, and whether the step is Newton's.
 
@@ -319,16 +342,20 @@ def _direction(X, G, W, pairs, entry):
     f on the sphere is A = B (Hess f - (x . grad f) I) B^T (Absil, Mahony &
     Sepulchre, 2008).  Where A is positive definite the step solves A c = -r;
     elsewhere it is the gradient step c = -r.  Then D = B^T c and the
-    decrease is -r . c, which is the Newton decrement or |r|^2.  Every
-    operation acts on one start at a time, with sums over short trailing axes
-    in a fixed order, so a start's direction does not depend on the stack.
+    decrease is -r . c, which is the Newton decrement or |r|^2.  The rows of
+    Hess f and then grad f are gathered from the Hessian's distinct entries
+    and G by ``lines`` (see ``_refine``), so that B Hess f and r come from one
+    product.  Every operation acts on one start at a time, with sums over
+    short trailing axes in a fixed order, so a start's direction does not
+    depend on the stack.
     """
     B = _tangent_basis(X)
-    r = np.add.reduce(B * G[:, :, None], axis=3)
     quadratic = X[..., pairs[0]] * X[..., pairs[1]]
-    H = np.add.reduce(quadratic[:, :, None] * W[:, None], axis=3)[..., entry]
-    HB = np.add.reduce(H[:, :, None] * B[:, :, :, None], axis=4)
-    A = np.add.reduce(HB[:, :, :, None] * B[:, :, None], axis=4)
+    H = np.add.reduce(quadratic[:, :, None] * W[:, None], axis=3)
+    HG = np.concatenate([H, G], axis=2)[..., lines]
+    HB = np.add.reduce(HG[:, :, None] * B[:, :, :, None], axis=4)
+    r = HB[..., -1]
+    A = np.add.reduce(HB[:, :, :, None, :-1] * B[:, :, None], axis=4)
     radial = np.add.reduce(G * X, axis=2)
     if r.shape[2] == 1:
         a = A[..., 0, 0] - radial
@@ -338,8 +365,9 @@ def _direction(X, G, W, pairs, entry):
         a, b, e = A[..., 0, 0] - radial, A[..., 0, 1], A[..., 1, 1] - radial
         det = a * e - b * b
         positive = (a > 0) & (det > 0)
-        c = np.stack([b * r[..., 1] - e * r[..., 0], b * r[..., 0] - a * r[..., 1]],
-                     axis=-1) / det[..., None]
+        c = np.empty_like(r)
+        c[..., 0] = (b * r[..., 1] - e * r[..., 0]) / det
+        c[..., 1] = (b * r[..., 0] - a * r[..., 1]) / det
     g2 = np.add.reduce(r * r, axis=2)
     decrement = -np.add.reduce(r * c, axis=2)
     newton = positive & np.isfinite(decrement)
@@ -372,10 +400,12 @@ def _refine(X, C, E):
     the rows of forms that stop are written out and dropped.
     """
     forms, n, dim = X.shape
-    kernel = _kernel(E, forms, n)
+    kernel = _kernel(dim, forms, n)
     V = _weights(C, E)
     source, factor, pairs, entry = _hessian_table(dim)
     W = C[:, source] * factor
+    # The rows of Hess f, then grad f, in the distinct entries followed by G.
+    lines = np.vstack([entry, len(source) + np.arange(dim)])
     resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1)
 
     def trial(X, D, scale, active, f, decrease, V):
@@ -399,7 +429,7 @@ def _refine(X, C, E):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, G = kernel(X, V)
         while True:
-            D, decrease, g2, newton = _direction(X, G, W, pairs, entry)
+            D, decrease, g2, newton = _direction(X, G, W, pairs, lines)
             active = ((g2 > _REFINE_TOL**2) & (lowered > done - _STALL)
                       & ~(newton & (decrease <= resolution[:, None])))
             running = active.any(axis=1)
@@ -463,9 +493,13 @@ def minima_on_sphere(
     grid = cfg.grid_resolution if dim == 3 else 0  # _lowest screens a ternary's n x n grid
     starts = []
     for row in C:
+        # Every monomial is at most 1 in magnitude on the sphere, as are the
+        # rounded seed tables, so no value exceeds sum |C| by more than its
+        # rounding: only a form near the float64 limit needs the scan.
         with np.errstate(over="ignore", invalid="ignore"):
             v = values(row)
-        if not np.all(np.isfinite(v)):
+            bounded = np.add.reduce(np.abs(row)) < 2.0**1020
+        if not bounded and not np.all(np.isfinite(v)):
             raise NonFiniteValue(_OVERFLOW)
         starts.append(points(_lowest(v, cfg.starts, grid)))
     X, f, iterations = _refine(np.stack(starts), C, _exponents(dim))

@@ -69,8 +69,7 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Fraction:
     exact rationals, a float at its exact binary value (``0.1`` is
     3602879701896397/2**55); inf and nan are refused.
     """
-    if isinstance(value, bool):
-        raise TensorError(f"boolean is not a valid coefficient: {value!r}")
+    _check_coefficient(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -78,13 +77,17 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Fraction:
             return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise TensorError(f"cannot parse scalar {value!r}") from exc
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise TensorError(f"coefficient is not finite: {value!r}")
+    if isinstance(value, (int, float)):
         return Fraction(value)
     raise TensorError(f"cannot parse scalar {value!r}")
+
+
+def _check_coefficient(value) -> None:
+    """Refuse a bool, and a float that is inf or nan, as a coefficient."""
+    if isinstance(value, bool):
+        raise TensorError(f"boolean is not a valid coefficient: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TensorError(f"coefficient is not finite: {value!r}")
 
 
 def _digit_limit() -> int:
@@ -152,7 +155,12 @@ def _canonical_key(key, dim: int) -> MultiIndex:
 
 class _QuarticTerms:
     """Term iteration and the exact integer form, shared by both quartic
-    classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order."""
+    classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order.
+    A bool, inf or nan coefficient is refused at construction."""
+
+    def __post_init__(self):
+        for value in self.coeffs:
+            _check_coefficient(value)
 
     def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
         return zip(MULTI_INDICES[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
@@ -209,6 +217,7 @@ class TernaryQuartic(_QuarticTerms):
     def __post_init__(self):
         if len(self.coeffs) != 15:
             raise TensorError(f"expected 15 coefficients, got {len(self.coeffs)}")
+        super().__post_init__()
 
     @classmethod
     def from_map(cls, entries: Mapping[MultiIndex, Scalar]) -> "TernaryQuartic":

@@ -212,7 +212,10 @@ def test_criterion_7_property_suites():
         assert diff == (bp - b) * evaluate(squares, x)
         assert diff >= 0
 
-    # Gradient vs central finite differences in float arithmetic.
+    # Gradient vs central finite differences at float points.  Tf holds T's
+    # coefficients rounded to floats, which build_tensor reads as exact
+    # Fractions; evaluate is exact at the float points, so only the step, the
+    # quotient and the helper's gradient (Fraction times float) are rounded.
     step = 1e-5
     for _ in range(1000):
         dim = rng.choice((2, 3))

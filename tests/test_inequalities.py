@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -568,3 +569,64 @@ def test_points_past_the_float_limit_are_checked_exactly(monkeypatch):
         f"C32_ii: unexpected zero residual at ({t}, {t}, {t})"
     assert outcomes[rid(IneqName.C32_I)].equality_points == 3 + 1
     assert_matches_reference(variants, len(points), 0)
+
+
+def bound_points(rng):
+    """Integer points for the float residuals: random ones, ones near 10**8
+    (the largest a drawn point reaches) and just below 2**52 (the float
+    limit), in every sign pattern, points beside the diagonal, where C32_i's
+    residual nearly cancels, and points with zeros."""
+    top = inequalities._FLOAT_LIMIT - 1
+    points = [tuple(rng.randint(-10**8, 10**8) for _ in range(3)) for _ in range(150)]
+    for big in (10**8, top):
+        for _ in range(60):
+            points.append(tuple(rng.choice((1, -1)) * (big - rng.randint(0, 1000))
+                                for _ in range(3)))
+        for d in range(1, 11):
+            points += [(big - d, big - d, big), (big, big - rng.randint(1, 9) * d, big - d),
+                       (big, big, big)]
+    points += [(0, 0, 0), (top, 0, 0), (0, -top, top), (1, -1, 0), (0, 0, -1)]
+    return points
+
+
+def bound_forms(rng):
+    """The 20 variants' integer forms and 12 random integer forms with weights
+    up to 10**6, most of them indefinite."""
+    forms = [residual_tensor(iid).integer_form for iid in CHECKED_VARIANTS]
+    exponents = [e for e in inequalities._COLUMN]
+    for _ in range(12):
+        forms.append((1, tuple((rng.randint(-10**6, 10**6), *e) for e in exponents)))
+    return forms
+
+
+def test_float_residuals_are_within_their_bound():
+    """|F - N| <= B against the exact numerators N, for every form at every
+    point of bound_points."""
+    rng = random.Random(5)
+    forms = bound_forms(rng)
+    points = bound_points(rng)
+    K = inequalities._float_weights(forms)
+    F_, B = inequalities._float_residuals(np.array(points, dtype=float), K)
+    assert np.all(np.isfinite(F_)) and np.all(np.isfinite(B))
+    for i, n in enumerate(points):
+        _, numerators = inequalities.exact_numerators(forms, n)
+        for t, N in enumerate(numerators):
+            assert abs(F(float(F_[i, t])) - N) <= F(float(B[i, t])), (n, t)
+
+
+def test_settled_pairs_are_positive():
+    """No (point, form) pair that _settled leaves to floats has an exact
+    numerator N <= 0, C32_i on the diagonal included."""
+    rng = random.Random(6)
+    forms = bound_forms(rng)
+    points = bound_points(rng)
+    L = np.array([rng.randint(1, 10**6) for _ in points], dtype=np.int64)
+    n = np.array(points, dtype=np.int64)
+    c32 = np.array([t < len(CHECKED_VARIANTS) and CHECKED_VARIANTS[t].name is IneqName.C32_I
+                    for t in range(len(forms))])
+    settled = inequalities._settled(L, n, inequalities._float_weights(forms), c32)
+    assert settled.any() and not settled.all()
+    for i, x in enumerate(points):
+        _, numerators = inequalities.exact_numerators(forms, x)
+        for t in np.flatnonzero(settled[i]).tolist():
+            assert numerators[t] > 0, (x, t)

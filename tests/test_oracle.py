@@ -40,12 +40,12 @@ CFG = OracleConfig(grid_resolution=64, starts=8)
 
 def _eval_batch(X, C, E):
     """f at each row of X, as the oracle evaluates it: a stack of one form."""
-    return _kernel(E, 1, len(X))(X[None], _weights(C[None], E))[0][0]
+    return _kernel(E.shape[1], 1, len(X))(X[None], _weights(C[None], E))[0][0]
 
 
 def _grad_batch(X, C, E):
     """The gradient at each row of X, as the oracle evaluates it."""
-    return _kernel(E, 1, len(X))(X[None], _weights(C[None], E))[1][0]
+    return _kernel(E.shape[1], 1, len(X))(X[None], _weights(C[None], E))[1][0]
 
 
 def case1_tensor():
@@ -121,6 +121,30 @@ class TestMinOnSphere:
         assert np.all(np.isfinite(_float_terms(T)[0]))
         with pytest.raises(NonFiniteValue):
             min_on_sphere(T, CFG)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_overflow_is_raised_exactly_when_a_seed_value_overflows(dim):
+    """The search raises NonFiniteValue iff some seed value is inf or nan,
+    also where the values skip the scan, for forms of mostly positive
+    weights scaled from 2**1012 up to the top of the float64 range."""
+    values = _seeds(dim, CFG.grid_resolution)[0]
+    rng = np.random.default_rng(dim)
+    raised = []
+    for scale in 2.0 ** np.linspace(1012, 1023.99, 12):
+        for _ in range(8):
+            weights = rng.uniform(0.9, 1, len(MULTI_INDICES[dim]))
+            signs = np.where(rng.random(len(weights)) < 0.8, scale, -scale)
+            T = build_tensor(dim, {m: float(v) / w for m, w, v in zip(
+                MULTI_INDICES[dim], MULTIPLICITIES[dim], weights * signs)})
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    minima_on_sphere([T], CFG)
+                    raised.append(False)
+                except NonFiniteValue:
+                    raised.append(True)
+                assert raised[-1] == (not np.all(np.isfinite(values(_float_terms(T)[0]))))
+    assert any(raised) and not all(raised)
 
 
 def general_ternary():
@@ -441,6 +465,20 @@ def test_refinement_stops_before_the_cap():
                             r.iterations, r.witness)).encode())
     assert sorted(iterations)[len(iterations) // 2] <= 10
     assert digest.hexdigest() == SIGN_CLASS_DIGEST
+
+
+# SHA-256 over the default-oracle results of the 20 inequality variants
+# searched as one stack, hashed as for SIGN_CLASS_DIGEST.  TestStack shows
+# that the stack equals each search alone; this pins both.
+VARIANT_STACK_DIGEST = "1b990b1269fa79f09720bac3a0be6a2c837b710de34e6800fc28356b35aef340"
+
+
+def test_variant_stack_results_are_pinned():
+    digest = hashlib.sha256()
+    for r in minima_on_sphere(VARIANTS, OracleConfig()):
+        digest.update(repr((r.min_value.hex(), [v.hex() for v in r.argmin],
+                            r.iterations, r.witness)).encode())
+    assert digest.hexdigest() == VARIANT_STACK_DIGEST
 
 
 @pytest.mark.parametrize("T", SIGN_CLASS[::16] + list(DIM_TENSORS.values()))

@@ -51,6 +51,26 @@ def test_non_finite_float_coefficients_are_refused(value):
         build_tensor(2, {(1, 1, 1, 1): value, (2, 2, 2, 2): 1})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_quartic_constructors_refuse_bad_coefficients(value, position):
+    """Both quartic classes refuse inf, nan and bool coefficients at
+    construction, as build_tensor does, wherever the coefficient stands."""
+    binary = [F(1), 0, F(1, 2), 0, 1]
+    binary[position] = value
+    with pytest.raises(TensorError):
+        BinaryQuartic(*binary)
+    ternary = [F(1)] * 15
+    ternary[3 * position] = value
+    with pytest.raises(TensorError):
+        TernaryQuartic(tuple(ternary))
+
+
+def test_quartic_constructors_keep_finite_floats():
+    assert evaluate(BinaryQuartic(0.5, 0, 0, 0, 1.0), (1, 1)) == F(3, 2)
+    assert evaluate(TernaryQuartic((0.25,) * 15), (1, 0, 0)) == F(1, 4)
+
+
 def test_multi_index_counts():
     assert len(MULTI_INDICES[2]) == 5
     assert len(MULTI_INDICES[3]) == 15
