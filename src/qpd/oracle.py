@@ -28,20 +28,21 @@ search is no longer evaluated, so every form's result equals that of
 searching it alone, bit for bit.  The stack pays the loop's fixed cost per
 numpy call once for all its forms.
 
-f and its gradient are evaluated together, in one kernel (``_kernel``): a
-C-contiguous index, cached read-only per ``(dim, n)``, gathers every monomial
-of f and of each df/dx_k from each form's power table ``X[i, j] ** e`` (e =
-0..4) with one ``take``, and the gathered factors are multiplied in x_1,
-x_2, ... order.  f and each df/dx_k are then one mat-vec per form over a
-contiguous (n, m) matrix, so products and sums keep the order of the direct
-formulas and the results equal theirs bit for bit.  The power and factor
-buffers belong to one ``_refine`` call, so searches do not share them.  A
-backtracking candidate is evaluated once (the powers of frozen starts, whose
-candidates are never accepted, are not recomputed), and the gradient of an
-accepted point is carried into the next iteration.  The Hessian is a
-quadratic form in x: its distinct entries are the quadratic monomials x_k
-x_l times a per-form weight matrix (6 x 6 for ternaries), which
-``_hessian_table`` gathers exactly from the coefficients.
+f and its gradient are evaluated together, in one kernel (``_kernel``), the
+module's only monomial gather: a C-contiguous index, cached read-only per
+``(dim, n)``, gathers every monomial of f and of each df/dx_k from each
+form's power table ``X[i, j] ** e`` (e = 0..4) with one ``take``, and the
+gathered factors are multiplied in x_1, x_2, ... order.  f and each df/dx_k
+are then one mat-vec per form over a contiguous (n, m) matrix, so products
+and sums keep the order of the direct formulas and the results equal theirs
+bit for bit.  The power and factor buffers belong to the kernel, which each
+``_refine`` call builds, so searches do not share them.  A backtracking
+candidate is evaluated once (the powers of frozen starts, whose candidates
+are never accepted, are not recomputed), and the gradient of an accepted
+point is carried into the next iteration.  The Hessian is a quadratic form
+in x: its distinct entries are the quadratic monomials x_k x_l times a
+per-form weight matrix (6 x 6 for ternaries), which ``_hessian_table``
+gathers exactly from the coefficients.
 
 Seeding reads a ternary's n**2 + 1 seed values once, to pick its starts
 (``_lowest``); they are scanned for overflow only when sum |C|, which bounds
@@ -78,7 +79,7 @@ _STALL = 10
 _REFINE_TOL = 1e-12
 _DECREMENT = 1e-15
 _REFINE_ITERS = 500
-# The powers of a coordinate that gather_monomials computes with pow.
+# The powers of a coordinate that the kernel computes with pow.
 _HIGH_POWERS = np.arange(2.0, 5.0)
 
 
@@ -126,9 +127,9 @@ def _exponents(dim: int) -> np.ndarray:
     return np.asarray(EXPONENTS[dim])
 
 
-def _float_terms(T: Quartic):
-    """Weighted coefficient vector and exponent matrix for vectorized
-    evaluation: f(x) = sum_m C[m] * prod_j x_j ** E[m, j]."""
+def _float_terms(T: Quartic) -> np.ndarray:
+    """Weighted coefficient vector for vectorized evaluation: f(x) = sum_m
+    C[m] * prod_j x_j ** E[m, j] with E = ``_exponents(T.dim)``."""
     terms = list(T.terms())
     try:
         C = np.asarray([w * float(c) for _, w, c in terms])
@@ -138,82 +139,57 @@ def _float_terms(T: Quartic):
         raise NonFiniteValue(_OVERFLOW)
     if any(c != 0 and v == 0 for (_, _, c), v in zip(terms, C)):
         raise NonFiniteValue(_UNDERFLOW)  # the search would see another form
-    return C, _exponents(T.dim)
-
-
-def _gather_index(tables: np.ndarray, n: int) -> np.ndarray:
-    """index[j, s, i, m], the position of X[i, j] ** tables[s, m, j] in one
-    form's power table of shape (n, dim, 5), flattened.  It is made
-    C-contiguous, so that ``take`` walks it in order."""
-    dim = tables.shape[-1]
-    points = 5 * dim * np.arange(n)[:, None] + 5 * np.arange(dim)[:, None, None, None]
-    return np.ascontiguousarray(points + np.moveaxis(tables, -1, 0)[:, :, None])
-
-
-def _gatherer(index: np.ndarray, forms: int):
-    """The monomials function of ``gather_monomials`` for a gather index, with
-    power and factor buffers of its own for up to ``forms`` forms."""
-    dim, _, n, _ = index.shape
-    factors = np.empty((forms,) + index.shape)  # reused: each call's M is a new array
-    powers = np.ones((forms, n, dim, 5))
-
-    def monomials(X, needed=True):
-        k = len(X)
-        P = powers[:k]
-        P[..., 1] = X
-        np.power(X[..., None], _HIGH_POWERS, out=P[..., 2:], where=needed)
-        # The index is in range; "clip" spares take a buffered bounds check.
-        F = np.take(P.reshape(k, -1), index, axis=1, out=factors[:k], mode="clip")
-        return np.multiply.reduce(F, axis=1)
-
-    return monomials
-
-
-def gather_monomials(tables: np.ndarray, forms: int, n: int):
-    """The monomials of a stack of up to ``forms`` sets of n points, as a
-    function (X, needed) -> M with M[f, s, i, m] = prod_j X[f, i, j] **
-    tables[s, m, j], C-contiguous.  X has shape (k, n, dim) for any k <= forms.
-
-    Every entry is gathered by one ``take`` with an index built here (see
-    ``_gather_index``), from each form's power table ``X[..., None] **
-    arange(5)`` (a quartic's monomials use no other powers), and the factors
-    are multiplied in x_1, x_2, ... order, so M[f, s] equals ``np.prod(X[f,
-    :, None, :] ** tables[s], axis=-1)`` bit for bit.  The buffers are built
-    once for the whole stack: k forms use their first k rows.  Powers 0 and 1
-    are exactly 1 and X, so only powers 2 to 4 call ``pow``, and only for the
-    points where ``needed`` (True, or a (k, n, 1, 1) mask) holds; the
-    monomials of the other points are left over from an earlier call.
-    """
-    return _gatherer(_gather_index(tables, n), forms)
+    return C
 
 
 @functools.lru_cache(maxsize=8)
 def _kernel_index(dim: int, n: int) -> np.ndarray:
-    """The kernel's read-only gather index for n points (see ``_kernel``)."""
+    """The kernel's gather index for n points: index[j, s, i, m] is the
+    position of X[i, j] ** E_s[m, j] (see ``_kernel``) in one form's power
+    table of shape (n, dim, 5), flattened.  It is C-contiguous, so that
+    ``take`` walks it in order, and read-only."""
     lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
-    index = _gather_index(np.maximum(_exponents(dim) - lower, 0), n)
+    tables = np.maximum(_exponents(dim) - lower, 0)
+    points = 5 * dim * np.arange(n)[:, None] + 5 * np.arange(dim)[:, None, None, None]
+    index = np.ascontiguousarray(points + np.moveaxis(tables, -1, 0)[:, :, None])
     index.flags.writeable = False
     return index
 
 
 def _kernel(dim: int, forms: int, n: int):
     """f and its gradient at a stack of up to ``forms`` sets of n points, as
-    one function (X, V, needed) -> (f, G) with X of shape (k, n, dim) and V =
-    ``_weights(C, E)`` for the k forms' coefficient rows C; f and G are
-    meaningful only where ``needed`` holds (see ``gather_monomials``).
+    one function (X, V, needed) -> (f, G) with X of shape (k, n, dim) for any
+    k <= forms and V = ``_weights(C, E)`` for the k forms' coefficient rows C.
 
-    One gather gives the monomials of E = ``_exponents(dim)`` and of E with
-    column k lowered by one (floored at 0) for each k, so f = M[:, 0] @ C and
-    df/dx_k = M[:, 1 + k] @ (C * E[:, k]).  Each is one BLAS mat-vec over a
-    contiguous (n, m) matrix (``np.matmul`` makes one per form and table),
-    which sums in a fixed order, and G is made C-contiguous because numpy
-    sums a row of a differently ordered array in another order.  The gather
-    index is cached per ``(dim, n)``; the buffers belong to each kernel.
+    One ``take`` through the cached ``_kernel_index`` gathers, from each
+    form's power table ``X[..., None] ** arange(5)`` (a quartic's monomials
+    use no other powers), the monomials M[:, s] of E_0 = E =
+    ``_exponents(dim)`` and of each E_(1 + k), E with column k lowered by one
+    (floored at 0).  Their factors are multiplied in x_1, x_2, ... order, so
+    each equals ``np.prod(X ** E_s[m], axis=-1)`` bit for bit.  Then f = M[:,
+    0] @ C and df/dx_k = M[:, 1 + k] @ (C * E[:, k]), each one BLAS mat-vec
+    over a contiguous (n, m) matrix (``np.matmul`` makes one per form and
+    table), which sums in a fixed order; G is made C-contiguous because numpy
+    sums a row of a differently ordered array in another order.
+
+    The power and factor buffers are the kernel's own, built once for the
+    whole stack: k forms use their first k rows.  Powers 0 and 1 are exactly
+    1 and X, so only powers 2 to 4 call ``pow``, and only for the points
+    where ``needed`` (True, or a (k, n, 1, 1) mask) holds; f and G are
+    meaningful only there.
     """
-    monomials = _gatherer(_kernel_index(dim, n), forms)
+    index = _kernel_index(dim, n)
+    factors = np.empty((forms,) + index.shape)  # reused: each call's product is a new array
+    powers = np.ones((forms, n, dim, 5))
 
     def kernel(X, V, needed=True):
-        R = np.matmul(monomials(X, needed), V)
+        k = len(X)
+        P = powers[:k]
+        P[..., 1] = X
+        np.power(X[..., None], _HIGH_POWERS, out=P[..., 2:], where=needed)
+        # The index is in range; "clip" spares take a buffered bounds check.
+        F = np.take(P.reshape(k, -1), index, axis=1, out=factors[:k], mode="clip")
+        R = np.matmul(np.multiply.reduce(F, axis=1), V)
         return R[:, 0, :, 0], R[:, 1:, :, 0].transpose(0, 2, 1).copy()
 
     return kernel
@@ -238,19 +214,20 @@ def _seeds(dim: int, n: int):
     (0, 0, 1).  There x^a y^b z^c = sin^k t cos^(4 - k) t cos^a phi sin^b phi
     with k = a + b, so the n**2 values are U @ Q with U[i, k] = sin^k t_i
     cos^(4 - k) t_i and Q[k] = sum over a + b = k of C cos^a phi sin^b phi;
-    the pole's value is the z^4 weight.
+    the pole's value is the z^4 weight.  A and U are built by the direct
+    formula, C-contiguous: a mat-vec over another layout rounds differently.
     """
     E = _exponents(dim)
     azimuth = np.pi * np.arange(n) / n
     circle = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
-    A = gather_monomials(E[None, :, :2], 1, n)(circle[None])[0, 0]
+    A = np.prod(circle[:, None] ** E[:, :2], axis=2)
     if dim == 2:
         return (lambda C: A @ C), (lambda idx: circle[idx])
     polar = np.pi * (np.arange(n) + 0.5) / n
     # Row n is the pole, t = 0: with j = 0 it gives (0, 0, 1).
     sin, cos = np.append(np.sin(polar), 0.0), np.append(np.cos(polar), 1.0)
     E2 = _exponents(2)  # U's columns are the binary monomials of (sin t, cos t)
-    U = gather_monomials(E2[None], 1, n)(np.stack([sin[:n], cos[:n]], axis=1)[None])[0, 0]
+    U = np.prod(np.stack([sin[:n], cos[:n]], axis=1)[:, None] ** E2, axis=2)
     degree = E2[:, :1] == E[:, 0] + E[:, 1]  # degree[k, m]: monomial m is in Q[k]
     [pole] = np.flatnonzero(E[:, 2] == 4)
 
@@ -291,16 +268,17 @@ def _lowest(values: np.ndarray, k: int, n: int = 0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _hessian_table(dim: int):
-    """``(source, factor, pairs, entry)`` for the Hessian of a quartic, whose
+    """``(source, factor, pairs, lines)`` for the Hessian of a quartic, whose
     entries are quadratic forms.  With the index pairs k <= l listed in
     ``pairs`` (shape (2, P)), the p-th distinct entry is
 
         d2f/dx_k dx_l = sum_q C[source[p, q]] * factor[p, q] * x_i x_j
 
-    for the p-th pair (k, l) and the q-th pair (i, j), and ``entry[k, l]``
-    is the p of (min(k, l), max(k, l)).  Each weight is one coefficient times
-    an integer (or 0), so ``C[:, source] * factor`` gives every form's P x P
-    weight matrix exactly."""
+    for the p-th pair (k, l) and the q-th pair (i, j).  Each weight is one
+    coefficient times an integer (or 0), so ``C[:, source] * factor`` gives
+    every form's P x P weight matrix exactly.  ``lines`` numbers the rows of
+    Hess f, then grad f, in the distinct entries followed by G: lines[k, l]
+    is the p of (min(k, l), max(k, l)), and lines[dim, l] is P + l."""
     pairs = [(k, l) for k in range(dim) for l in range(k, dim)]
     source = np.zeros((len(pairs), len(pairs)), dtype=int)
     factor = np.zeros((len(pairs), len(pairs)))
@@ -312,9 +290,8 @@ def _hessian_table(dim: int):
             if low.min() >= 0:
                 q = pairs.index(tuple(np.repeat(np.arange(dim), low)))
                 source[p, q], factor[p, q] = m, e[k] * (e[l] - (k == l))
-    entry = np.array([[pairs.index((min(k, l), max(k, l))) for l in range(dim)]
-                      for k in range(dim)])
-    return source, factor, np.array(pairs).T, entry
+    lines = [[pairs.index((min(k, l), max(k, l))) for l in range(dim)] for k in range(dim)]
+    return source, factor, np.array(pairs).T, np.vstack([lines, len(pairs) + np.arange(dim)])
 
 
 def _tangent_basis(X: np.ndarray) -> np.ndarray:
@@ -344,10 +321,10 @@ def _direction(X, G, W, pairs, lines):
     elsewhere it is the gradient step c = -r.  Then D = B^T c and the
     decrease is -r . c, which is the Newton decrement or |r|^2.  The rows of
     Hess f and then grad f are gathered from the Hessian's distinct entries
-    and G by ``lines`` (see ``_refine``), so that B Hess f and r come from one
-    product.  Every operation acts on one start at a time, with sums over
-    short trailing axes in a fixed order, so a start's direction does not
-    depend on the stack.
+    and G by ``lines`` (see ``_hessian_table``), so that B Hess f and r come
+    from one product.  Every operation acts on one start at a time, with sums
+    over short trailing axes in a fixed order, so a start's direction does
+    not depend on the stack.
     """
     B = _tangent_basis(X)
     quadratic = X[..., pairs[0]] * X[..., pairs[1]]
@@ -375,7 +352,7 @@ def _direction(X, G, W, pairs, lines):
     return D, np.where(newton, decrement, g2), g2, newton
 
 
-def _refine(X, C, E):
+def _refine(X, C):
     """Batch Riemannian Newton descent with backtracking line search, for a
     stack of forms: X holds each form's starts (forms, starts, dim), C one
     coefficient row per form.
@@ -401,11 +378,9 @@ def _refine(X, C, E):
     """
     forms, n, dim = X.shape
     kernel = _kernel(dim, forms, n)
-    V = _weights(C, E)
-    source, factor, pairs, entry = _hessian_table(dim)
+    V = _weights(C, _exponents(dim))
+    source, factor, pairs, lines = _hessian_table(dim)
     W = C[:, source] * factor
-    # The rows of Hess f, then grad f, in the distinct entries followed by G.
-    lines = np.vstack([entry, len(source) + np.arange(dim)])
     resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1)
 
     def trial(X, D, scale, active, f, decrease, V):
@@ -488,7 +463,7 @@ def minima_on_sphere(
     if len(dims) != 1:
         raise ValueError("minima_on_sphere needs tensors of one dimension")
     [dim] = dims
-    C = np.stack([_float_terms(T)[0] for T in tensors])
+    C = np.stack([_float_terms(T) for T in tensors])
     values, points = _seeds(dim, cfg.grid_resolution)
     grid = cfg.grid_resolution if dim == 3 else 0  # _lowest screens a ternary's n x n grid
     starts = []
@@ -502,7 +477,7 @@ def minima_on_sphere(
         if not bounded and not np.all(np.isfinite(v)):
             raise NonFiniteValue(_OVERFLOW)
         starts.append(points(_lowest(v, cfg.starts, grid)))
-    X, f, iterations = _refine(np.stack(starts), C, _exponents(dim))
+    X, f, iterations = _refine(np.stack(starts), C)
     return [_result(T, X[i], f[i], int(iterations[i]), cfg) for i, T in enumerate(tensors)]
 
 

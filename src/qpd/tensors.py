@@ -156,11 +156,19 @@ def _canonical_key(key, dim: int) -> MultiIndex:
 class _QuarticTerms:
     """Term iteration and the exact integer form, shared by both quartic
     classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order.
-    A bool, inf or nan coefficient is refused at construction."""
+    A bool, inf or nan coefficient is refused at construction, and a float is
+    stored as the Fraction of its exact binary value, so that every decision
+    on the coefficients is exact.  The fields are rewritten through
+    ``object.__setattr__``, since the dataclasses are frozen."""
 
     def __post_init__(self):
         for value in self.coeffs:
             _check_coefficient(value)
+        exact = tuple(Fraction(v) if isinstance(v, float) else v for v in self.coeffs)
+        # TernaryQuartic keeps one field, the tuple; BinaryQuartic one per coefficient.
+        fields = (exact,) if self.dim == 3 else exact
+        for name, value in zip(self.__dataclass_fields__, fields):
+            object.__setattr__(self, name, value)
 
     def terms(self) -> Iterator[tuple[MultiIndex, int, Scalar]]:
         return zip(MULTI_INDICES[self.dim], MULTIPLICITIES[self.dim], self.coeffs)
@@ -208,7 +216,9 @@ class BinaryQuartic(_QuarticTerms):
 
 @dataclass(frozen=True)
 class TernaryQuartic(_QuarticTerms):
-    """The 15 independent coefficients of a symmetric quartic in three variables."""
+    """The 15 independent coefficients of a symmetric quartic in three
+    variables, kept as a tuple (any sequence is accepted), so that the
+    tensor is hashable."""
 
     coeffs: Tuple[Scalar, ...]
 

@@ -17,7 +17,7 @@ from qpd.binary import (
     invariants_IJ,
 )
 from qpd.tensors import BinaryQuartic, evaluate
-from qpd.verdicts import Classification
+from qpd.verdicts import Classification, Verdict
 
 PD = Classification.POSITIVE_DEFINITE
 PSD = Classification.PSD_NOT_PD
@@ -251,3 +251,21 @@ def test_scaling_covariance():
         T = BinaryQuartic(*t)
         S = BinaryQuartic(*(lam * v for v in t))
         assert classify_binary(T).classification is classify_binary(S).classification
+
+
+def test_float_coefficients_count_at_their_exact_value():
+    """Float coefficients are decided at their exact binary values, so they
+    give the verdict of their Fraction values.  The coefficients below are
+    (x^2 + 1.1 xy + 0.15 y^2)^2 rounded to floats, and exactly they form a PD
+    quartic; forms near a perfect square, where float arithmetic flips the
+    sign conditions, agree too."""
+    coeffs = (1.0, 0.55, 0.2516666666666667, 0.0825, 0.0225)
+    T = BinaryQuartic(*coeffs)
+    assert T.coeffs == tuple(map(F, coeffs))
+    assert classify_binary(T) == Verdict(PD, "I-branch-ii")
+    rng = random.Random(23)
+    for _ in range(200):
+        p, q = rng.uniform(-2, 2), rng.uniform(0.01, 2)
+        coeffs = (1.0, p / 2, (p * p + 2 * q) / 6, p * q / 2, q * q)
+        assert classify_binary(BinaryQuartic(*coeffs)) == classify_binary(
+            BinaryQuartic(*map(F, coeffs)))

@@ -22,14 +22,14 @@ from qpd.oracle import (
     _seeds,
     _tangent_basis,
     _weights,
-    gather_monomials,
     min_on_sphere,
     minima_on_sphere,
     negative_witness,
     rationalize_and_confirm,
     verify_verdict,
 )
-from qpd.tensors import MULTI_INDICES, MULTIPLICITIES, BinaryQuartic, build_tensor, evaluate
+from qpd.tensors import (MULTI_INDICES, MULTIPLICITIES, BinaryQuartic, TernaryQuartic,
+                         build_tensor, evaluate)
 from qpd.ternary import STUDIED_LEVELS, SignClassTensor
 from qpd.verdicts import Classification
 
@@ -118,7 +118,7 @@ class TestMinOnSphere:
                                                                MULTIPLICITIES[dim])
                    if 3 not in m}
         T = build_tensor(dim, entries)
-        assert np.all(np.isfinite(_float_terms(T)[0]))
+        assert np.all(np.isfinite(_float_terms(T)))
         with pytest.raises(NonFiniteValue):
             min_on_sphere(T, CFG)
 
@@ -143,7 +143,7 @@ def test_overflow_is_raised_exactly_when_a_seed_value_overflows(dim):
                     raised.append(False)
                 except NonFiniteValue:
                     raised.append(True)
-                assert raised[-1] == (not np.all(np.isfinite(values(_float_terms(T)[0]))))
+                assert raised[-1] == (not np.all(np.isfinite(values(_float_terms(T)))))
     assert any(raised) and not all(raised)
 
 
@@ -183,23 +183,30 @@ def all_seeds(dim, n):
 
 
 class TestSeedCache:
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_cached_seed_values_match_direct_evaluation(self, dim):
+    def test_cached_seed_values_match_direct_evaluation(self, dim, n):
         """A binary's seed values are the mat-vec over the circle's monomials,
-        bit for bit; a ternary's factorized values agree to rounding."""
-        C, E = _float_terms(DIM_TENSORS[dim])
-        values = _seeds(dim, 64)[0](C)
-        direct = direct_monomials(reference_grid(dim, 64), E) @ C
+        bit for bit (a monomial table that is not C-contiguous changes the
+        mat-vec's last bit); a ternary's factorized values agree to rounding.
+        Of a ternary grid at most about 16,384 seeds are checked: every
+        seed up to n = 128, above that every s-th for an odd s (which meets
+        every azimuth), and the pole."""
+        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
+        values = _seeds(dim, n)[0](C)
         if dim == 2:
+            direct = direct_monomials(reference_grid(2, n), E) @ C
             assert same_bits(values, direct)
-            assert same_bits(values, _eval_batch(reference_grid(2, 64), C, E))
+            assert same_bits(values, _eval_batch(reference_grid(2, n), C, E))
         else:
-            assert np.abs(values - direct).max() <= 1e-14 * np.abs(C).sum()
+            rows = np.r_[0:n * n:n * n // 16384 | 1, n * n]
+            direct = direct_monomials(reference_grid(3, n)[rows], E) @ C
+            assert np.abs(values[rows] - direct).max() <= 1e-14 * np.abs(C).sum()
 
     def test_cached_arrays_are_read_only(self):
         """Values and points are new arrays, so writing to them leaves the
         cached tables as they were."""
-        C, _ = _float_terms(DIM_TENSORS[3])
+        C = _float_terms(DIM_TENSORS[3])
         values, points = _seeds(3, 64)
         first, seeds = values(C), points(np.arange(10))
         expected_values, expected_seeds = first.copy(), seeds.copy()
@@ -229,7 +236,7 @@ class TestSeedCache:
         M = direct_monomials(reference_grid(3, n), _exponents(3))
         values = _seeds(3, n)[0]
         for T in SIGN_CLASS[::8] + VARIANTS + [DIM_TENSORS[3]]:
-            C, _ = _float_terms(T)
+            C = _float_terms(T)
             assert np.abs(values(C) - M @ C).max() <= 1e-14 * np.abs(C).sum()
 
     @pytest.mark.parametrize("n, k", [(256, 32), (64, 8)])
@@ -239,7 +246,7 @@ class TestSeedCache:
         M = direct_monomials(reference_grid(3, n), _exponents(3))
         values = _seeds(3, n)[0]
         for T in SIGN_CLASS + VARIANTS:
-            C, _ = _float_terms(T)
+            C = _float_terms(T)
             assert np.array_equal(_lowest(values(C), k), _lowest(M @ C, k))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -247,7 +254,7 @@ class TestSeedCache:
         T = DIM_TENSORS[dim]
         points = [(F(1), F(-2, 3), F(1, 5)), (F(-3, 7), F(4, 9), F(2)), (F(1, 2), F(0), F(-1))]
         points = [p[:dim] for p in points]
-        C, E = _float_terms(T)
+        C, E = _float_terms(T), _exponents(dim)
         G = _grad_batch(np.array(points, dtype=float), C, E)
         for row, p in zip(G, points):
             exact = [float(g) for g in gradient(T, p)]
@@ -298,34 +305,38 @@ class TestPowerTable:
 
     @pytest.mark.parametrize("points", sorted(POINT_SETS))
     def test_monomials_and_values(self, points):
+        """f and G for the tensor's coefficients and for each unit coefficient
+        row, which reads out one monomial of f and of each df/dx_k, equal the
+        direct formulas bit for bit."""
         dim, make = POINT_SETS[points]
         X = make()
-        C, E = _float_terms(DIM_TENSORS[dim])
-        # E and, for each k, E with column k lowered: the kernel's tables.
-        tables = [E] + [np.maximum(E - np.eye(dim, dtype=int)[k], 0) for k in range(dim)]
-        M = gather_monomials(np.stack(tables), 1, len(X))(X[None])[0]
-        assert M.flags.c_contiguous
-        for Ms, Es in zip(M, tables):
-            assert same_bits(Ms, direct_monomials(X, Es))
-        assert same_bits(_eval_batch(X, C, E), direct_monomials(X, E) @ C)
+        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
+        kernel = _kernel(dim, 1, len(X))
+        for row in [C, *np.eye(len(C))]:
+            f, G = (a[0] for a in kernel(X[None], _weights(row[None], E)))
+            assert same_bits(f, direct_monomials(X, E) @ row)
+            assert same_bits(G, loop_gradient(X, row, E))
 
     @pytest.mark.parametrize("points", sorted(POINT_SETS))
     def test_gradient(self, points):
         dim, make = POINT_SETS[points]
         X = make()
-        C, E = _float_terms(DIM_TENSORS[dim])
+        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
         G = _grad_batch(X, C, E)
         assert G.flags.c_contiguous
         assert same_bits(G, loop_gradient(X, C, E))
 
     def test_default_seed_table(self):
-        """The default binary seed values are the gathered circle monomials
-        times C, bit for bit."""
+        """At the default binary seeds, the seed values and the kernel's f
+        both equal the direct monomials times C, and the kernel's G the
+        direct gradient, bit for bit."""
         n = OracleConfig().grid_resolution
-        C, E = _float_terms(DIM_TENSORS[2])
-        M = gather_monomials(E[None], 1, n)(all_seeds(2, n)[None])[0, 0]
-        assert same_bits(M, direct_monomials(reference_grid(2, n), E))
-        assert same_bits(_seeds(2, n)[0](C), M @ C)
+        C, E = _float_terms(DIM_TENSORS[2]), _exponents(2)
+        X = all_seeds(2, n)
+        direct = direct_monomials(reference_grid(2, n), E) @ C
+        assert same_bits(_seeds(2, n)[0](C), direct)
+        assert same_bits(_eval_batch(X, C, E), direct)
+        assert same_bits(_grad_batch(X, C, E), loop_gradient(X, C, E))
 
 
 def exact_hessian(T, x):
@@ -340,13 +351,14 @@ class TestNewton:
     def test_hessian_weights_match_exact(self, dim):
         """The Hessian is the quadratic monomials times one weight matrix."""
         T = DIM_TENSORS[dim]
-        C, _ = _float_terms(T)
-        source, factor, pairs, entry = _hessian_table(dim)
+        C = _float_terms(T)
+        source, factor, pairs, lines = _hessian_table(dim)
         assert source.shape == factor.shape == (dim * (dim + 1) // 2,) * 2
+        assert lines[dim].tolist() == [len(source) + k for k in range(dim)]
         W = C[source] * factor
         for p in [(F(1), F(-2, 3), F(1, 5)), (F(-3, 7), F(4, 9), F(2)), (F(1, 2), F(0), F(-1))]:
             x = np.array(p[:dim], dtype=float)
-            H = (W @ (x[pairs[0]] * x[pairs[1]]))[entry]
+            H = (W @ (x[pairs[0]] * x[pairs[1]]))[lines[:dim]]
             exact = np.array(exact_hessian(T, p[:dim]), dtype=float)
             assert H.ravel().tolist() == pytest.approx(exact.ravel().tolist(), rel=1e-12, abs=1e-10)
 
@@ -369,7 +381,7 @@ class TestSeedSelection:
         rng = np.random.default_rng(11)
         ties = rng.integers(0, 5, 1000).astype(float)
         zeros = rng.choice([0.0, -0.0, 1.0], 200)  # +0.0 and -0.0 tie
-        C, _ = _float_terms(boundary_tensor())
+        C = _float_terms(boundary_tensor())
         seed_values = _seeds(3, 256)[0](C)
         for values in (ties, zeros, rng.standard_normal(300), seed_values):
             for k in (1, 2, 32, len(values) - 1, len(values), len(values) + 24):
@@ -391,7 +403,7 @@ class TestSeedSelection:
         up to 130 and every 61st k after (each plain k there takes about 3.5
         ms, so all of them would take 3 s)."""
         rng = np.random.default_rng(n)
-        C, _ = _float_terms(boundary_tensor())
+        C = _float_terms(boundary_tensor())
         grids = [_seeds(3, n)[0](C)]
         if n < 1024:
             grids.append(rng.choice([0.0, 1.0, 2.0, -0.0], n * n + 1))
@@ -487,13 +499,13 @@ def test_frozen_starts_have_converged(T, monkeypatch):
     every stop rule off (stall, gradient norm and Newton decrement), lowers
     no start by more than 1e-12."""
     cfg = OracleConfig()
-    C, E = _float_terms(T)
+    C = _float_terms(T)
     values, points = _seeds(T.dim, cfg.grid_resolution)
-    X, f, _ = _refine(points(_lowest(values(C), cfg.starts))[None], C[None], E)
+    X, f, _ = _refine(points(_lowest(values(C), cfg.starts))[None], C[None])
     monkeypatch.setattr(oracle, "_STALL", oracle._REFINE_ITERS + 1)
     monkeypatch.setattr(oracle, "_REFINE_TOL", 0.0)
     monkeypatch.setattr(oracle, "_DECREMENT", -np.inf)
-    _, f_full, iterations = _refine(X, C[None], E)
+    _, f_full, iterations = _refine(X, C[None])
     assert iterations.tolist() == [oracle._REFINE_ITERS]
     assert np.all(f_full >= f - 1e-12)
 
@@ -597,6 +609,15 @@ def test_negative_witness_is_exact():
     assert w is not None
     assert evaluate(T, w) < 0
     assert evaluate(T, w) == min_on_sphere(T, CFG).confirmed_exact
+
+
+def test_list_built_ternary_is_searched():
+    """min_on_sphere caches by tensor, so a ternary built from a list must
+    hash; its result is that of the tuple-built tensor."""
+    T = TernaryQuartic([1] * 15)
+    assert bits(min_on_sphere(T, CFG)) == bits(
+        min_on_sphere.__wrapped__(TernaryQuartic((1,) * 15), CFG))
+    assert verify_verdict(T, Classification.UNDETERMINED, CFG).agreement == "n/a"
 
 
 def test_negative_witness_absent_for_definite():

@@ -71,6 +71,15 @@ def test_quartic_constructors_keep_finite_floats():
     assert evaluate(TernaryQuartic((0.25,) * 15), (1, 0, 0)) == F(1, 4)
 
 
+def test_ternary_quartic_keeps_its_coefficients_as_a_tuple():
+    """A list of coefficients is stored as a tuple, so the tensor hashes (the
+    oracle caches its last result by tensor) and equals the tuple-built one."""
+    T = TernaryQuartic([1] * 15)
+    assert T.coeffs == (1,) * 15
+    assert T == TernaryQuartic((1,) * 15)
+    assert hash(T) == hash(TernaryQuartic((1,) * 15))
+
+
 def test_multi_index_counts():
     assert len(MULTI_INDICES[2]) == 5
     assert len(MULTI_INDICES[3]) == 15
