@@ -178,13 +178,18 @@ class _QuarticTerms:
         return self.coeffs[POSITIONS[self.dim][tuple(sorted(midx))]]
 
     @functools.cached_property
-    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(D, rows)``: D is the lcm of the coefficient denominators and each
-        nonzero coefficient c_m gives a row ``(k_m, *exponents)`` with integer
-        weight k_m = multiplicity * c_m * D, so f(x) = sum_m k_m x^e_m / D.
-        The coefficients are scaled to integers c_m * D as ``integer_point``
+    def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
+        """``(D, k)``: D is the lcm of the coefficient denominators and k the
+        coefficients scaled to integers k_m = c_m * D, as ``integer_point``
         scales a point."""
-        D, scaled = integer_point(self.coeffs)
+        return integer_point(self.coeffs)
+
+    @functools.cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(D, rows)``: each nonzero scaled coefficient k_m of
+        ``integer_coeffs`` gives a row ``(multiplicity * k_m, *exponents)``, so
+        f(x) = sum_m multiplicity * k_m x^e_m / D."""
+        D, scaled = self.integer_coeffs
         rows = tuple(
             (w * k, *e)
             for e, w, k in zip(EXPONENTS[self.dim], MULTIPLICITIES[self.dim], scaled)
@@ -327,6 +332,12 @@ def exact_numerators(forms, x: Sequence[Scalar]) -> tuple[int, list[int]]:
 # JSON numbers or "p/q" strings.
 
 _TOP_KEYS = {"dim", "order", "entries"}
+# _KEY_POSITIONS[dim] maps each valid entry key, the digits of a sorted
+# multi-index, to its storage position.
+_KEY_POSITIONS = {
+    dim: {"".join(map(str, m)): p for m, p in positions.items()}
+    for dim, positions in POSITIONS.items()
+}
 
 
 def _unique_keys(pairs) -> dict:
@@ -341,7 +352,12 @@ def _unique_keys(pairs) -> dict:
 
 
 def tensor_from_json(text: str) -> Quartic:
-    """Parse the JSON tensor format.  Raises ParseError on any deviation."""
+    """Parse the JSON tensor format.  Raises ParseError on any deviation.
+
+    Each entry is checked once, its key by one lookup in ``_KEY_POSITIONS``
+    (``_unique_keys`` has refused a repeated key), and its value goes straight
+    to its place in the coefficient tuple; ``build_tensor`` is the
+    constructor for entries given in code."""
     try:
         doc = json.loads(text, parse_float=_decimal, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal beyond the digit limit
@@ -360,27 +376,45 @@ def tensor_from_json(text: str) -> Quartic:
         raise ParseError(f"missing keys: {sorted(missing)}")
     dim, order, entries = doc["dim"], doc["order"], doc["entries"]
     if dim not in (2, 3):
-        raise ParseError(f'"dim" must be 2 or 3, got {dim!r}')
+        raise _top_level_error("dim", "2 or 3", dim)
     if order != ORDER:
-        raise ParseError(f'"order" must be 4, got {order!r}')
+        raise _top_level_error("order", "4", order)
     if not isinstance(entries, dict):
         raise ParseError('"entries" must be an object')
-    parsed: dict[MultiIndex, Scalar] = {}
+    positions, limit = _KEY_POSITIONS[dim], _digit_limit()
+    coeffs = [Fraction(0)] * len(positions)
     for key, value in entries.items():
-        if not (isinstance(key, str) and len(key) == ORDER and key.isascii() and key.isdigit()):
-            raise ParseError(f"entry key {key!r} is not a 4-digit string")
-        digits = tuple(int(ch) for ch in key)
-        if any(not 1 <= d <= dim for d in digits):
-            raise ParseError(f"entry key {key!r} has an index outside 1..{dim}")
-        if list(digits) != sorted(digits):
-            raise ParseError(f"entry key {key!r} must have non-decreasing digits")
+        p = positions.get(key)
+        if p is None:
+            raise _key_error(key, dim)
         if not isinstance(value, (int, Fraction, str)) or isinstance(value, bool):
             raise ParseError(f"entry {key!r} has a non-numeric value {value!r}")
         try:
-            parsed[digits] = _check_digits(parse_scalar(value))
+            coeffs[p] = _check_digits(parse_scalar(value), limit)
         except TensorError as exc:
             raise ParseError(f"entry {key!r}: {exc}") from exc
-    return build_tensor(dim, parsed)
+    return BinaryQuartic(*coeffs) if dim == 2 else TernaryQuartic(tuple(coeffs))
+
+
+def _top_level_error(name: str, expected: str, value) -> ParseError:
+    """The error for a "dim" or "order" that is not as expected.  A JSON
+    decimal, read as a Fraction, is shown as ``format_scalar`` renders it,
+    and any other value by its repr."""
+    try:
+        shown = str(format_scalar(value)) if isinstance(value, Fraction) else repr(value)
+    except TooManyDigits as exc:
+        return ParseError(f'"{name}": {exc}')
+    return ParseError(f'"{name}" must be {expected}, got {shown}')
+
+
+def _key_error(key: str, dim: int) -> ParseError:
+    """Why ``key`` is not in ``_KEY_POSITIONS[dim]``: the first of its three
+    rules (four ASCII digits, each in 1..dim, non-decreasing) that it breaks."""
+    if not (len(key) == ORDER and key.isascii() and key.isdigit()):
+        return ParseError(f"entry key {key!r} is not a 4-digit string")
+    if any(not 1 <= int(ch) <= dim for ch in key):
+        return ParseError(f"entry key {key!r} has an index outside 1..{dim}")
+    return ParseError(f"entry key {key!r} must have non-decreasing digits")
 
 
 def load_tensor(path) -> Quartic:
@@ -392,10 +426,9 @@ def load_tensor(path) -> Quartic:
     return tensor_from_json(text)
 
 
-def _check_digits(value: Union[int, Fraction]) -> Union[int, Fraction]:
+def _check_digits(value: Union[int, Fraction], limit: int) -> Union[int, Fraction]:
     """value, unless its numerator or denominator has more decimal digits than
-    the interpreter converts to a string (``_digit_limit()``)."""
-    limit = _digit_limit()
+    the interpreter converts to a string (``limit``, from ``_digit_limit()``)."""
     for n in value.as_integer_ratio():
         n = abs(n)
         # 2**(3*limit) < 10**limit settles most n without building 10**limit.
@@ -408,7 +441,7 @@ def format_scalar(value: Union[int, Fraction]):
     """JSON-friendly rendering of an exact rational: a "p/q" string, or a
     plain int when the denominator is 1.  Raises TooManyDigits for a rational
     the interpreter cannot print."""
-    _check_digits(value)
+    _check_digits(value, _digit_limit())
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"

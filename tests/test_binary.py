@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -269,3 +270,79 @@ def test_float_coefficients_count_at_their_exact_value():
         coeffs = (1.0, p / 2, (p * p + 2 * q) / 6, p * q / 2, q * q)
         assert classify_binary(BinaryQuartic(*coeffs)) == classify_binary(
             BinaryQuartic(*map(F, coeffs)))
+
+
+def pin_corpus():
+    """A seeded corpus of rational binaries: general forms with denominators
+    up to 10**6, forms with a zero or a negative diagonal entry, and forms with
+    disc = 0 (squares of quadratics, and a double root times a quadratic)."""
+    rng = random.Random(24)
+
+    def rat(lo, hi, den):
+        return F(rng.randint(lo, hi), rng.randint(1, den))
+
+    forms = []
+    for den in (1, 6, 1000, 10**6):
+        for _ in range(60):
+            a, e = rat(1, 9 * den, den), rat(1, 9 * den, den)
+            forms.append(BinaryQuartic(a, *(rat(-12 * den, 12 * den, den) for _ in range(3)), e))
+    for i in range(120):
+        k = [rat(1, 9, 7), rat(-12, 12, 5), rat(-6, 12, 9), rat(-12, 12, 10**6), rat(1, 9, 4)]
+        k[0 if i % 2 else 4] = F(0)
+        if i % 3 == 0:
+            k[1 if i % 2 else 3] = F(0)
+        if i % 5 == 0:
+            k[4 if i % 2 else 0] = F(0)
+        forms.append(BinaryQuartic(*k))
+    for i in range(60):
+        k = [rat(1, 9, 3), rat(-6, 6, 5), rat(-6, 6, 10**6), rat(-6, 6, 2), rat(1, 9, 7)]
+        k[0 if i % 2 else 4] *= -1
+        forms.append(BinaryQuartic(*k))
+    for _ in range(60):
+        forms.append(square_of_quadratic(rat(1, 9, 5), rat(-9, 9, 10**6), rat(-9, 9, 7)))
+    for _ in range(60):
+        # (x - r y)^2 (p x^2 + q xy + s y^2)
+        r, p, q, s = rat(-5, 5, 3), rat(1, 9, 4), rat(-9, 9, 10**6), rat(-9, 9, 4)
+        cubic = (p, q - 2 * r * p, s - 2 * r * q + r * r * p, r * r * q - 2 * r * s, r * r * s)
+        forms.append(BinaryQuartic(cubic[0], cubic[1] / 4, cubic[2] / 6, cubic[3] / 4, cubic[4]))
+    return forms
+
+
+# SHA-256 over class, branch and witness of classify_binary on pin_corpus(),
+# recorded when the classifier still decided on Fraction coefficients.
+CLASSIFY_DIGEST = "ecc8688480451671ba010e8e8b4575aeb35a3b9b53378094457a42fdc0f59ad6"
+
+
+def test_classify_binary_is_pinned():
+    digest = hashlib.sha256()
+    seen = set()
+    for T in pin_corpus():
+        v = classify_binary(T)
+        witness = None if v.witness is None else [str(x) for x in v.witness]
+        digest.update(repr((v.classification.value, v.branch, witness)).encode())
+        seen.add(v.branch)
+    assert {"diagonal-negative", "degenerate-diagonal", "degenerate-diagonal-oracle",
+            "I-disc0", "I-branch-i", "I-branch-ii", "II-branch-i", "II-branch-ii",
+            "II-fails"} == seen
+    assert digest.hexdigest() == CLASSIFY_DIGEST
+
+
+positive = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
+
+
+@given(st.lists(coefficients, min_size=5, max_size=5), positive)
+@settings(max_examples=300, deadline=None)
+@example([1, 1, 1, 1, 1], F(1, 3))  # PSD, disc = 0
+@example(list(square_of_quadratic(1, -1, 2).coeffs), F(7, 10**6))  # PD, disc = 0
+@example([0, 0, 1, F(9, 2), 13], F(5, 2))  # zero diagonal, no small witness
+@example([-1, 0, 1, 0, 1], F(1, 7))
+def test_class_and_branch_are_homogeneous(coeffs, k):
+    """T and k*T, k > 0, get the same class and branch: every test of the
+    classifier is the sign of a homogeneous expression in the coefficients,
+    which is what deciding on the integers D*T relies on."""
+    T, S = BinaryQuartic(*coeffs), BinaryQuartic(*(k * c for c in coeffs))
+    v, w = classify_binary(T), classify_binary(S)
+    assert (v.classification, v.branch) == (w.classification, w.branch)
+    if T.t1111 > 0 and T.t2222 > 0:
+        assert condition_I(T) == condition_I(S)
+        assert condition_II(T) == condition_II(S)

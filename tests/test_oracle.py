@@ -326,18 +326,6 @@ class TestPowerTable:
         assert G.flags.c_contiguous
         assert same_bits(G, loop_gradient(X, C, E))
 
-    def test_default_seed_table(self):
-        """At the default binary seeds, the seed values and the kernel's f
-        both equal the direct monomials times C, and the kernel's G the
-        direct gradient, bit for bit."""
-        n = OracleConfig().grid_resolution
-        C, E = _float_terms(DIM_TENSORS[2]), _exponents(2)
-        X = all_seeds(2, n)
-        direct = direct_monomials(reference_grid(2, n), E) @ C
-        assert same_bits(_seeds(2, n)[0](C), direct)
-        assert same_bits(_eval_batch(X, C, E), direct)
-        assert same_bits(_grad_batch(X, C, E), loop_gradient(X, C, E))
-
 
 def exact_hessian(T, x):
     """The Hessian from the tensor entries: 12 * sum_ij t_klij x_i x_j."""
