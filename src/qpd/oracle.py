@@ -42,11 +42,24 @@ are never accepted, are not recomputed), and the gradient of an accepted
 point is carried into the next iteration.  The Hessian is a quadratic form
 in x: its distinct entries are the quadratic monomials x_k x_l times a
 per-form weight matrix (6 x 6 for ternaries), which ``_hessian_table``
-gathers exactly from the coefficients.
+gathers exactly from the coefficients.  The step's sums over short axes (2
+or 3 terms) are written out as one vectorized add per term (``_sum``):
+numpy's reduction adds them in the same order, so the bits agree, but its
+loop costs about 17 ns per output, which on a stack of forms outweighs a
+call per term.  The Hessian's 6-term sums stay numpy's, which reduces that
+axis faster.
 
 Seeding reads a ternary's n**2 + 1 seed values once, to pick its starts
 (``_lowest``); they are scanned for overflow only when sum |C|, which bounds
-them, reaches 2**1020.
+them, reaches 2**1020.  The seed values are freed before refinement starts
+(``_starts``): a ternary's take 512 KB at the default grid, and kept alive
+beside ``_refine``'s buffers they made the allocator return the heap to the
+system and take it back on every search.
+
+A negative minimum is confirmed in integers: each coordinate's
+``as_integer_ratio`` is rounded by the continued fraction of
+``Fraction.limit_denominator`` (``_limit_denominator``), and the form's
+``integer_form`` is evaluated at the cleared-denominator point.
 """
 from __future__ import annotations
 
@@ -59,7 +72,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensors import EXPONENTS, Quartic, Vector, evaluate
+from .tensors import EXPONENTS, Quartic, Vector, check_dim, exact_numerators
 from .verdicts import Classification
 
 
@@ -99,14 +112,22 @@ class OracleConfig:
     def __post_init__(self):
         # A ternary form's n**2 + 1 seed values take 8.4 MB at the grid bound;
         # the refinement's arrays grow with the number of starts.
-        if not 8 <= self.grid_resolution <= 1024:
-            raise ValueError("grid_resolution must be between 8 and 1024")
+        _check_int("grid_resolution", self.grid_resolution, 8, 1024)
         if not 0 < self.verdict_tol < math.inf:  # rejects NaN too
             raise ValueError("verdict_tol must be positive and finite")
-        if not 1 <= self.starts <= 1024:
-            raise ValueError("starts must be between 1 and 1024")
-        if self.max_denominator < 1:
-            raise ValueError("max_denominator must be >= 1")
+        _check_int("starts", self.starts, 1, 1024)
+        _check_int("max_denominator", self.max_denominator, 1)
+
+
+def _check_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """Refuse a setting that is not an int (a bool included) or lies outside
+    [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}")
 
 
 @dataclass(frozen=True)
@@ -311,6 +332,20 @@ def _tangent_basis(X: np.ndarray) -> np.ndarray:
     return B
 
 
+def _sum(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1)`` over a short last axis.  numpy adds such
+    an axis left to right onto +0.0 (so a sum of -0.0 terms is +0.0), at
+    about 17 ns per output on a 2-vCPU x86 VM; past a few hundred elements
+    one vectorized add per term, in the same order and so with the same
+    bits, is cheaper."""
+    if a.size < 512:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
+        total += a[..., k]
+    return total
+
+
 def _direction(X, G, W, pairs, lines):
     """Each start's step direction D, its predicted decrease, the squared
     tangential gradient norm, and whether the step is Newton's.
@@ -323,17 +358,18 @@ def _direction(X, G, W, pairs, lines):
     Hess f and then grad f are gathered from the Hessian's distinct entries
     and G by ``lines`` (see ``_hessian_table``), so that B Hess f and r come
     from one product.  Every operation acts on one start at a time, with sums
-    over short trailing axes in a fixed order, so a start's direction does
-    not depend on the stack.
+    over short axes taken left to right (``_sum``), so a start's direction
+    does not depend on the stack.
     """
     B = _tangent_basis(X)
     quadratic = X[..., pairs[0]] * X[..., pairs[1]]
+    # numpy reduces this length-6 axis faster than six adds would.
     H = np.add.reduce(quadratic[:, :, None] * W[:, None], axis=3)
     HG = np.concatenate([H, G], axis=2)[..., lines]
-    HB = np.add.reduce(HG[:, :, None] * B[:, :, :, None], axis=4)
+    HB = _sum(HG[:, :, None] * B[:, :, :, None])
     r = HB[..., -1]
-    A = np.add.reduce(HB[:, :, :, None, :-1] * B[:, :, None], axis=4)
-    radial = np.add.reduce(G * X, axis=2)
+    A = _sum(HB[:, :, :, None, :-1] * B[:, :, None])
+    radial = _sum(G * X)
     if r.shape[2] == 1:
         a = A[..., 0, 0] - radial
         positive = a > 0
@@ -345,10 +381,10 @@ def _direction(X, G, W, pairs, lines):
         c = np.empty_like(r)
         c[..., 0] = (b * r[..., 1] - e * r[..., 0]) / det
         c[..., 1] = (b * r[..., 0] - a * r[..., 1]) / det
-    g2 = np.add.reduce(r * r, axis=2)
-    decrement = -np.add.reduce(r * c, axis=2)
+    g2 = _sum(r * r)
+    decrement = -_sum(r * c)
     newton = positive & np.isfinite(decrement)
-    D = np.add.reduce(np.where(newton[..., None], c, -r)[..., None] * B, axis=2)
+    D = _sum((np.where(newton[..., None], c, -r)[..., None] * B).swapaxes(2, 3))
     return D, np.where(newton, decrement, g2), g2, newton
 
 
@@ -387,7 +423,7 @@ def _refine(X, C):
         """Candidates, their values, gradients and acceptance.  A frozen start
         is never accepted, so its candidate is not evaluated."""
         cand = X + (scale * active)[:, :, None] * D
-        cand /= np.sqrt(np.add.reduce(cand * cand, axis=2, keepdims=True))
+        cand /= np.sqrt(_sum(cand * cand))[..., None]
         fc, Gc = kernel(cand, V, active[:, :, None, None])
         return cand, fc, Gc, active & (fc <= f - 1e-4 * scale * decrease)
 
@@ -464,6 +500,14 @@ def minima_on_sphere(
         raise ValueError("minima_on_sphere needs tensors of one dimension")
     [dim] = dims
     C = np.stack([_float_terms(T) for T in tensors])
+    X, f, iterations = _refine(_starts(C, dim, cfg), C)
+    return [_result(T, X[i], f[i], int(iterations[i]), cfg) for i, T in enumerate(tensors)]
+
+
+def _starts(C: np.ndarray, dim: int, cfg: OracleConfig) -> np.ndarray:
+    """The starts of each coefficient row of C, shaped (forms, starts, dim):
+    its ``cfg.starts`` lowest seeds.  A form's seed values live only here, so
+    they are freed before ``_refine`` allocates its buffers."""
     values, points = _seeds(dim, cfg.grid_resolution)
     grid = cfg.grid_resolution if dim == 3 else 0  # _lowest screens a ternary's n x n grid
     starts = []
@@ -477,8 +521,7 @@ def minima_on_sphere(
         if not bounded and not np.all(np.isfinite(v)):
             raise NonFiniteValue(_OVERFLOW)
         starts.append(points(_lowest(v, cfg.starts, grid)))
-    X, f, iterations = _refine(np.stack(starts), C)
-    return [_result(T, X[i], f[i], int(iterations[i]), cfg) for i, T in enumerate(tensors)]
+    return np.stack(starts)
 
 
 @functools.lru_cache(maxsize=1)
@@ -519,31 +562,66 @@ def _result(T: Quartic, X, f, iterations: int, cfg: OracleConfig) -> OracleResul
     )
 
 
-def _rational_point(x, max_denominator: int) -> Vector:
-    return tuple(Fraction(float(v)).limit_denominator(max_denominator) for v in x)
+def _limit_denominator(p: int, q: int, bound: int) -> tuple[int, int]:
+    """``Fraction(p, q).limit_denominator(bound)`` as its numerator and
+    denominator, for p/q in lowest terms with q > 0 and an int bound >= 1,
+    computed as the stdlib does: the continued fraction of p/q runs until a
+    convergent's denominator would exceed the bound, and the closer of the
+    last convergent and the best semiconvergent within the bound wins, the
+    convergent on a tie."""
+    if q <= bound:
+        return p, q
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = p, q
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # The semiconvergent lies 1 / (q1 (q0 + k q1)) from the convergent, and
+    # the convergent d / (q1 q) from p/q.
+    if 2 * d * (q0 + k * q1) <= q:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _value_at(T: Quartic, point) -> tuple[int, int]:
+    """``(N, M)`` with M > 0 and f(x) = N / M at the point x whose coordinates
+    are the ``(numerator, denominator)`` pairs of ``point``: the form's
+    ``integer_form`` at the integer point L x, over D L**4."""
+    L = math.lcm(*(q for _, q in point))
+    form = T.integer_form
+    _, (N,) = exact_numerators((form,), [p * (L // q) for p, q in point])
+    return N, form[0] * L**4
 
 
 def rationalize_and_confirm(T: Quartic, x, max_denominator: int) -> Fraction:
     """Exact value of the form at the best rational approximation of x with
     denominators bounded by max_denominator."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    return evaluate(T, _rational_point(x, max_denominator))
+    _check_int("max_denominator", max_denominator, 1)
+    check_dim(T, x)
+    return Fraction(*_value_at(T, [
+        _limit_denominator(*float(v).as_integer_ratio(), max_denominator) for v in x]))
 
 
 def _confirm_negative(T: Quartic, x, max_denominator: int) -> Optional[tuple[Vector, Fraction]]:
     """The first rounding of x with a negative exact value, and that value.
 
     Denominator bounds climb 8, 128, 2048, ... while they stay within
-    max_denominator, then max_denominator itself is tried.
+    max_denominator, then max_denominator itself is tried.  Each rounding
+    and its value are taken in integers; only the witness becomes Fractions.
     """
+    ratios = [float(v).as_integer_ratio() for v in x]
     den = 8
     while True:
         den = min(den, max_denominator)
-        point = _rational_point(x, den)
-        value = evaluate(T, point)
-        if value < 0:
-            return point, value
+        point = [_limit_denominator(p, q, den) for p, q in ratios]
+        N, M = _value_at(T, point)
+        if N < 0:
+            return tuple(Fraction(p, q) for p, q in point), Fraction(N, M)
         if den == max_denominator:
             return None
         den *= 16

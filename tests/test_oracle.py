@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qpd import oracle
 from qpd.binary import classify_binary
@@ -17,9 +20,11 @@ from qpd.oracle import (
     _float_terms,
     _hessian_table,
     _kernel,
+    _limit_denominator,
     _lowest,
     _refine,
     _seeds,
+    _sum,
     _tangent_basis,
     _weights,
     min_on_sphere,
@@ -407,7 +412,11 @@ class TestSeedSelection:
 
 # Default-oracle results, pinned bit for bit.  These tensors have several
 # symmetric minimizers, so a change in float summation order tends to move the
-# argmin (and the witness) to another one.
+# argmin (and the witness) to another one.  The pins hold for one numpy build
+# on one CPU: numpy's power, which the kernel and the seed tables call, is not
+# correctly rounded on about 2.7% of uniform cubes in [-1, 1] and differs from
+# libm's pow on as many, and its result depends on the build and the CPU
+# dispatch.
 GOLDEN = {
     "binary-degenerate": (
         BinaryQuartic(0, F(-3, 4), F(11, 3), 2, 4),
@@ -479,6 +488,68 @@ def test_variant_stack_results_are_pinned():
         digest.update(repr((r.min_value.hex(), [v.hex() for v in r.argmin],
                             r.iterations, r.witness)).encode())
     assert digest.hexdigest() == VARIANT_STACK_DIGEST
+
+
+# SHA-256 over minima_on_sphere of two stacks, the 20 inequality variants and
+# the five binaries of TestStack.test_slow_forms_keep_their_own_iterations, at
+# grid 8 with 4 and with 32 starts, hashed as for SIGN_CLASS_DIGEST.  The
+# binaries take _direction's dim-2 branch; with 32 starts two variants
+# backtrack (4 starts backtrack nowhere).
+SMALL_GRID_DIGEST = "fa9a2f43b04bc1bdee7896389ee0afba8face436d2a41f93270d90add26eba77"
+
+
+def test_small_grid_results_are_pinned():
+    binaries = [DIM_TENSORS[2], BinaryQuartic(1, 1, 1, 1, 1), BinaryQuartic(1, 0, F(1, 3), 0, 1),
+                BinaryQuartic(1, -1, 1, -1, 1), GOLDEN["binary-degenerate"][0]]
+    digest = hashlib.sha256()
+    for cfg in (OracleConfig(grid_resolution=8, starts=4), OracleConfig(grid_resolution=8)):
+        for stack in (VARIANTS, binaries):
+            for r in minima_on_sphere(stack, cfg):
+                digest.update(repr((r.min_value.hex(), [v.hex() for v in r.argmin],
+                                    r.iterations, r.witness)).encode())
+    assert digest.hexdigest() == SMALL_GRID_DIGEST
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (1, 32, 2), (1, 32, 3), (20, 32, 3),
+                                   (20, 32, 2, 4, 3), (20, 32, 2, 3)])
+def test_short_sums_equal_numpy_reduce(shape):
+    """_sum has numpy's bits on either side of its size switch, with signed
+    zeros (a row of -0.0 sums to +0.0), infinities and NaN among the terms,
+    and on a transposed view."""
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < 0.3
+    a[special] = rng.choice([0.0, -0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    a[:3] = -0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in (a, a.swapaxes(-1, -2)):
+            if x.shape[-1] <= 6:  # a longer axis is summed pairwise
+                assert _sum(x).tobytes() == np.add.reduce(x, axis=-1).tobytes()
+
+
+# What the search held (traced, above its caller's baseline) when refinement
+# of the 20-variant stack began, while the last form's 65,537 seed values
+# stayed alive until the search returned.
+HELD_WITH_SEED_VALUES = 563_072
+
+
+def test_seed_values_are_freed_before_refinement(monkeypatch):
+    minima_on_sphere(VARIANTS)  # builds the cached tables
+    held = []
+    refine = oracle._refine
+
+    def traced(X, C):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return refine(X, C)
+
+    monkeypatch.setattr(oracle, "_refine", traced)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        minima_on_sphere(VARIANTS)
+    finally:
+        tracemalloc.stop()
+    assert held[0] - base < HELD_WITH_SEED_VALUES - 2**19
 
 
 @pytest.mark.parametrize("T", SIGN_CLASS[::16] + list(DIM_TENSORS.values()))
@@ -557,8 +628,42 @@ class TestRationalize:
         assert value > 0
 
     def test_rejects_bad_denominator(self):
-        with pytest.raises(ValueError):
-            rationalize_and_confirm(case1_tensor(), (0.5, 0.5, 0.5), 0)
+        for bound in (0, 2.5, 8.0, True, F(8)):
+            with pytest.raises(ValueError):
+                rationalize_and_confirm(case1_tensor(), (0.5, 0.5, 0.5), bound)
+
+    def test_value_at_the_stdlib_rounding(self):
+        """The exact value at the stdlib's rounding of each coordinate, for
+        points off the grid of small denominators."""
+        rng = np.random.default_rng(5)
+        for T in (case1_tensor(), general_ternary(), DIM_TENSORS[2]):
+            for _ in range(20):
+                x = rng.standard_normal(T.dim) * 10.0 ** rng.integers(-9, 9)
+                for bound in (1, 7, 8, 2048, 10**6):
+                    point = [F(float(v)).limit_denominator(bound) for v in x]
+                    assert rationalize_and_confirm(T, x, bound) == evaluate(T, point)
+
+
+# Finite floats up to 1e300 in magnitude (subnormals and both zeros included),
+# and exact integers.
+ROUNDED = st.one_of(st.floats(-1e300, 1e300), st.integers(-2**60, 2**60).map(float))
+BOUNDS = st.one_of(st.sampled_from([1, 8, 128, 2048, 32768, 524288, 10**6]),
+                   st.integers(1, 10**6))
+
+
+@given(ROUNDED, BOUNDS)
+@example(0.0, 1)
+@example(-0.0, 8)
+@example(5e-324, 10**6)
+@example(-2.2250738585072014e-308, 524288)
+@example(1e300, 1)
+@example(0.5, 1)  # halfway between 0 and 1: the stdlib keeps the convergent 0
+@example(-1.5, 1)
+@example(0.1, 32768)
+def test_limit_denominator_matches_the_stdlib(v, bound):
+    expected = F(v).limit_denominator(bound)
+    assert _limit_denominator(*v.as_integer_ratio(), bound) == (
+        expected.numerator, expected.denominator)
 
 
 class TestVerifyVerdict:
@@ -628,3 +733,9 @@ def test_config_validation():
     OracleConfig(starts=1024, verdict_tol=1e300)
     with pytest.raises(ValueError):
         OracleConfig(max_denominator=0)
+    # A non-int (a bool included) would reach integer code as a float or a
+    # Fraction; max_denominator=2.5 made every NotPSD search raise TypeError.
+    for field in ("grid_resolution", "starts", "max_denominator"):
+        for value in (16.0, 2.5, True, F(16), "16", None):
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                OracleConfig(**{field: value})
