@@ -218,11 +218,19 @@ def _run_inequalities(args, cfg: OracleConfig) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error, exit 1; 2 is a conflict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
     unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpd",
         description="Decide positive (semi)definiteness of quartic forms in 2 "
         "or 3 variables, with independent numeric verification.",

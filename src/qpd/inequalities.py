@@ -29,7 +29,7 @@ import numpy as np
 
 from .oracle import OracleConfig, minima_on_sphere, rationalize_and_confirm
 from .tensors import (
-    EXPONENTS, MULTI_INDICES, TernaryQuartic, evaluate, exact_numerators, format_scalar,
+    MULTI_INDICES, MULTIPLICITIES, TernaryQuartic, evaluate, exact_numerators, format_scalar,
     integer_point,
 )
 from .ternary import CUBIC_PAIRS, PROOF_POINTS, SignClassTensor
@@ -228,7 +228,6 @@ class IneqReport:
 _CHUNK = 4096
 # A point whose scaled integers L or n reach _FLOAT_LIMIT is checked exactly.
 _FLOAT_LIMIT = 2**52
-_COLUMN = {e: m for m, e in enumerate(EXPONENTS[3])}  # K's column of each monomial
 # The quadratic monomials x_i x_j (i <= j) by their index pairs, and each
 # quartic monomial (i, j, k, l) of MULTI_INDICES[3] (in EXPONENTS[3] order) as
 # the product of the pairs (i, j) and (k, l), by their positions here.
@@ -252,14 +251,11 @@ _HALVES = np.array([(_PAIRS.index(m[:2]), _PAIRS.index(m[2:])) for m in MULTI_IN
 _ERROR = 2.0**-46
 
 
-def _float_weights(forms) -> np.ndarray:
-    """The weights of integer forms ``(D, rows)`` (see ``integer_form``) as
-    float rows in ``EXPONENTS[3]`` order, one row per form."""
-    K = np.zeros((len(forms), len(_COLUMN)))
-    for t, (_, rows) in enumerate(forms):
-        for k, *e in rows:
-            K[t, _COLUMN[tuple(e)]] = float(k)
-    return K
+def _float_weights(tensors) -> np.ndarray:
+    """The integer weights w * k (multiplicity times ``integer_coeffs``) of
+    ternary tensors as float rows in ``EXPONENTS[3]`` order, one per tensor."""
+    return np.array([[float(w * k) for w, k in zip(MULTIPLICITIES[3], T.integer_coeffs[1])]
+                     for T in tensors])
 
 
 def _float_residuals(X: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +328,7 @@ def check_inequalities(
     rng = random.Random(seed)
     tensors = [residual_tensor(iid) for iid in iids]
     forms = [T.integer_form for T in tensors]
-    K = _float_weights(forms)
+    K = _float_weights(tensors)
     c32 = np.array([iid.name is IneqName.C32_I for iid in iids])
     outcomes = [IneqReport() for _ in iids]
     minima = [None] * len(iids)  # (N, L**4) of the least nonzero-point value

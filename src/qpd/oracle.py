@@ -28,33 +28,22 @@ search is no longer evaluated, so every form's result equals that of
 searching it alone, bit for bit.  The stack pays the loop's fixed cost per
 numpy call once for all its forms.
 
-f and its gradient are evaluated together, in one kernel (``_kernel``), the
-module's only monomial gather: a C-contiguous index, cached read-only per
-``(dim, n)``, gathers every monomial of f and of each df/dx_k from each
-form's power table ``X[i, j] ** e`` (e = 0..4) with one ``take``, and the
-gathered factors are multiplied in x_1, x_2, ... order.  f and each df/dx_k
-are then one mat-vec per form over a contiguous (n, m) matrix, so products
-and sums keep the order of the direct formulas and the results equal theirs
-bit for bit.  The power and factor buffers belong to the kernel, which each
-``_refine`` call builds, so searches do not share them.  A backtracking
-candidate is evaluated once (the powers of frozen starts, whose candidates
-are never accepted, are not recomputed), and the gradient of an accepted
-point is carried into the next iteration.  The Hessian is a quadratic form
-in x: its distinct entries are the quadratic monomials x_k x_l times a
-per-form weight matrix (6 x 6 for ternaries), which ``_hessian_table``
-gathers exactly from the coefficients.  The step's sums over short axes (2
-or 3 terms) are written out as one vectorized add per term (``_sum``):
-numpy's reduction adds them in the same order, so the bits agree, but its
-loop costs about 17 ns per output, which on a stack of forms outweighs a
-call per term.  The Hessian's 6-term sums stay numpy's, which reduces that
-axis faster.
+f and its gradient are evaluated together by one kernel (``_kernel``), the
+module's only monomial gather, whose products and sums keep the order of the
+direct formulas, so the results equal theirs bit for bit.  A backtracking
+candidate is evaluated once, and the gradient of an accepted point is carried
+into the next iteration.  The Hessian's distinct entries are the quadratic
+monomials times a per-form weight matrix (``_hessian_table``), and the step's
+sums over short axes are written out term by term (``_sum``), in numpy's
+order.
 
-Seeding reads a ternary's n**2 + 1 seed values once, to pick its starts
-(``_lowest``); they are scanned for overflow only when sum |C|, which bounds
-them, reaches 2**1020.  The seed values are freed before refinement starts
-(``_starts``): a ternary's take 512 KB at the default grid, and kept alive
-beside ``_refine``'s buffers they made the allocator return the heap to the
-system and take it back on every search.
+The coefficient rows C come from the tensors' integer coefficients
+(``_float_terms``).  Seeding reads a ternary's n**2 + 1 seed values once, to
+pick its starts (``_lowest``); they are scanned for overflow only when sum
+|C|, which bounds them, reaches 2**1020.  The seed values are freed before
+refinement starts (``_starts``): a ternary's take 512 KB at the default grid,
+and kept alive beside ``_refine``'s buffers they made the allocator return the
+heap to the system and take it back on every search.
 
 A negative minimum is confirmed in integers: each coordinate's
 ``as_integer_ratio`` is rounded by the continued fraction of
@@ -72,7 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensors import EXPONENTS, Quartic, Vector, check_dim, exact_numerators
+from .tensors import EXPONENTS, MULTIPLICITIES, Quartic, Vector, check_dim, exact_numerators
 from .verdicts import Classification
 
 
@@ -148,18 +137,24 @@ def _exponents(dim: int) -> np.ndarray:
     return np.asarray(EXPONENTS[dim])
 
 
-def _float_terms(T: Quartic) -> np.ndarray:
-    """Weighted coefficient vector for vectorized evaluation: f(x) = sum_m
-    C[m] * prod_j x_j ** E[m, j] with E = ``_exponents(T.dim)``."""
-    terms = list(T.terms())
+def _float_terms(tensors: Sequence[Quartic]) -> np.ndarray:
+    """Weighted coefficient rows, one per tensor of one dimension, for
+    vectorized evaluation: f_t(x) = sum_m C[t, m] * prod_j x_j ** E[m, j]
+    with E = ``_exponents(dim)``.  A weight is w * (k / D) for the
+    multiplicity w and the ``integer_coeffs`` (D, k): one correctly rounded
+    int division, so it equals w * float(c) bit for bit.  A weight that
+    overflows, or a nonzero one that underflows to 0 (the search would see
+    another form), raises NonFiniteValue."""
     try:
-        C = np.asarray([w * float(c) for _, w, c in terms])
-    except OverflowError:  # float(Fraction) beyond the float64 range
+        C = np.array([[w * (k / D) for w, k in zip(MULTIPLICITIES[T.dim], scaled)]
+                      for T in tensors for D, scaled in [T.integer_coeffs]])
+    except OverflowError:  # a quotient beyond the float64 range
         raise NonFiniteValue(_OVERFLOW) from None
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise NonFiniteValue(_OVERFLOW)
-    if any(c != 0 and v == 0 for (_, _, c), v in zip(terms, C)):
-        raise NonFiniteValue(_UNDERFLOW)  # the search would see another form
+    for t, m in zip(*np.nonzero(C == 0)):
+        if tensors[t].integer_coeffs[1][m]:
+            raise NonFiniteValue(_UNDERFLOW)
     return C
 
 
@@ -198,6 +193,13 @@ def _kernel(dim: int, forms: int, n: int):
     1 and X, so only powers 2 to 4 call ``pow``, and only for the points
     where ``needed`` (True, or a (k, n, 1, 1) mask) holds; f and G are
     meaningful only there.
+
+    ``np.power`` stays although it is slow on negative bases: numpy takes a
+    scalar path there, about 125 ns per element against about 3 ns on
+    positive bases (2-vCPU x86 VM, numpy 2.4), and its cubes and fourth
+    powers of bases in [-1, 0) differ from libm's pow on about 0.1% of them
+    and from numpy's own vectorized path (|x| ** e, sign restored) on about
+    5%.  Any other route would move argmins and the pinned results.
     """
     index = _kernel_index(dim, n)
     factors = np.empty((forms,) + index.shape)  # reused: each call's product is a new array
@@ -267,16 +269,15 @@ def _seeds(dim: int, n: int):
 
 def _lowest(values: np.ndarray, k: int, n: int = 0) -> np.ndarray:
     """``np.argsort(values, kind="stable")[:k]`` without sorting every value:
-    the values at or below a bound with at least k values at or below it are
-    sorted by (value, index).
+    only the values at or below the k-th smallest are sorted, by (value,
+    index).
 
-    With n = 0 the bound is the k-th smallest value.  With n > 0, values[:n *
-    n] is read as an n x n grid (a ternary's seeds, the pole after them), and
-    the bound is the k-th smallest of its column minima and the values after
-    the grid: each is a distinct value, so at least k values lie at or below
-    it.  That bound is looser, so more values are sorted; it pays only while
-    k is a small share of the columns, and a grid of fewer than 8k columns
-    takes the k-th smallest value.
+    With n > 0, values[:n * n] is read as an n x n grid (a ternary's seeds,
+    the pole after them), and the k-th smallest value is found among the
+    values at or below a first bound: the k-th smallest of the grid's column
+    minima and the values after it, each a distinct value, so that at least k
+    values lie at or below it.  The screen pays only while k is a small share
+    of the columns, so a grid of fewer than 8k columns skips it.
     """
     k = min(k, len(values))
     if n < 8 * k:
@@ -284,7 +285,9 @@ def _lowest(values: np.ndarray, k: int, n: int = 0) -> np.ndarray:
     else:
         pool = np.concatenate([values[:n * n].reshape(n, n).min(axis=0), values[n * n:]])
     candidates = np.flatnonzero(values <= np.partition(pool, k - 1)[k - 1])
-    return candidates[np.argsort(values[candidates], kind="stable")][:k]
+    low = values[candidates]
+    keep = low <= np.partition(low, k - 1)[k - 1]
+    return candidates[keep][np.argsort(low[keep], kind="stable")][:k]
 
 
 @functools.lru_cache(maxsize=2)
@@ -499,7 +502,7 @@ def minima_on_sphere(
     if len(dims) != 1:
         raise ValueError("minima_on_sphere needs tensors of one dimension")
     [dim] = dims
-    C = np.stack([_float_terms(T) for T in tensors])
+    C = _float_terms(tensors)
     X, f, iterations = _refine(_starts(C, dim, cfg), C)
     return [_result(T, X[i], f[i], int(iterations[i]), cfg) for i, T in enumerate(tensors)]
 
@@ -510,18 +513,18 @@ def _starts(C: np.ndarray, dim: int, cfg: OracleConfig) -> np.ndarray:
     they are freed before ``_refine`` allocates its buffers."""
     values, points = _seeds(dim, cfg.grid_resolution)
     grid = cfg.grid_resolution if dim == 3 else 0  # _lowest screens a ternary's n x n grid
-    starts = []
-    for row in C:
-        # Every monomial is at most 1 in magnitude on the sphere, as are the
-        # rounded seed tables, so no value exceeds sum |C| by more than its
-        # rounding: only a form near the float64 limit needs the scan.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Every monomial is at most 1 in magnitude on the sphere, as are the
+    # rounded seed tables, so no value exceeds sum |C| by more than its
+    # rounding: only a form near the float64 limit needs the scan.
+    chosen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded = np.add.reduce(np.abs(C), axis=1) < 2.0**1020
+        for row, small in zip(C, bounded):
             v = values(row)
-            bounded = np.add.reduce(np.abs(row)) < 2.0**1020
-        if not bounded and not np.all(np.isfinite(v)):
-            raise NonFiniteValue(_OVERFLOW)
-        starts.append(points(_lowest(v, cfg.starts, grid)))
-    return np.stack(starts)
+            if not small and not np.isfinite(v).all():
+                raise NonFiniteValue(_OVERFLOW)
+            chosen.append(_lowest(v, cfg.starts, grid))
+    return points(np.concatenate(chosen)).reshape(len(C), -1, dim)
 
 
 @functools.lru_cache(maxsize=1)

@@ -234,14 +234,6 @@ class TernaryQuartic(_QuarticTerms):
             raise TensorError(f"expected 15 coefficients, got {len(self.coeffs)}")
         super().__post_init__()
 
-    @classmethod
-    def from_map(cls, entries: Mapping[MultiIndex, Scalar]) -> "TernaryQuartic":
-        """Build from a sorted-multi-index map; missing entries default to 0."""
-        coeffs = [Fraction(0)] * 15
-        for key, value in entries.items():
-            coeffs[POSITIONS[3][tuple(sorted(key))]] = value
-        return cls(tuple(coeffs))
-
 
 Quartic = Union[BinaryQuartic, TernaryQuartic]
 
@@ -267,10 +259,10 @@ def build_tensor(dim: int, entries: Mapping[Sequence[int], Scalar]) -> Quartic:
         else:
             canonical[ckey] = value
             first_key[ckey] = tuple(key)
-    if dim == 2:
-        zero = Fraction(0)
-        return BinaryQuartic(*(canonical.get(m, zero) for m in MULTI_INDICES[2]))
-    return TernaryQuartic.from_map(canonical)
+    coeffs = [Fraction(0)] * len(MULTI_INDICES[dim])
+    for ckey, value in canonical.items():
+        coeffs[POSITIONS[dim][ckey]] = value
+    return BinaryQuartic(*coeffs) if dim == 2 else TernaryQuartic(tuple(coeffs))
 
 
 def check_dim(T: Quartic, x: Sequence[Scalar]) -> None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Optional
 
-from .tensors import Scalar, TernaryQuartic, Vector, evaluate
+from .tensors import POSITIONS, Scalar, TernaryQuartic, Vector, evaluate
 from .verdicts import Classification, ClassVerdict
 
 
@@ -73,14 +73,13 @@ class SignClassTensor:
         return (self.s112, self.s113, self.s223)
 
     def to_quartic(self) -> TernaryQuartic:
-        entries = {(i, i, i, i): Fraction(1) for i in (1, 2, 3)}
+        coeffs = [1] * 15  # the diagonal; every other entry is placed below
         for (i, j), s in zip(CUBIC_PAIRS, self.s):
-            entries[i, i, i, j] = Fraction(s)
-            entries[i, j, j, j] = Fraction(-s)
-            entries[i, i, j, j] = self.b
-        for midx, c in zip(_MIXED, self.c):
-            entries[midx] = Fraction(c)
-        return TernaryQuartic.from_map(entries)
+            for m, v in (((i, i, i, j), s), ((i, j, j, j), -s), ((i, i, j, j), self.b)):
+                coeffs[POSITIONS[3][m]] = v
+        for m, c in zip(_MIXED, self.c):
+            coeffs[POSITIONS[3][m]] = c
+        return TernaryQuartic(tuple(coeffs))
 
 
 def validate_class(T: TernaryQuartic) -> SignClassTensor:

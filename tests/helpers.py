@@ -37,14 +37,13 @@ def transform(T: TernaryQuartic, perm: tuple[int, int, int], signs: tuple[int, i
     perm is a permutation of (1,2,3) given as the images of (1,2,3).
     """
     pm = {1: perm[0], 2: perm[1], 3: perm[2]}
-    entries = {}
+    coeffs = []
     for midx in MULTI_INDICES[3]:
-        src = tuple(sorted(pm[i] for i in midx))
         sgn = 1
         for i in midx:
             sgn *= signs[i - 1]
-        entries[midx] = sgn * T.coeff(src)
-    return TernaryQuartic.from_map(entries)
+        coeffs.append(sgn * T.coeff(pm[i] for i in midx))
+    return TernaryQuartic(tuple(coeffs))
 
 
 # The four expansion centers used by the rewriting identities.

@@ -255,6 +255,33 @@ def test_invalid_oracle_flags_exit_cleanly(binary_indef, capsys, flags):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "abc"],
+    ["--samples", "xyz"],
+    ["--mode", "nope"],
+    ["--format", "yaml"],
+    ["--bogus"],
+], ids=" ".join)
+def test_malformed_flags_are_input_errors(flags):
+    """argparse refuses a malformed command line with the input-error code 1,
+    not its own 2, which qpd keeps for an analytic/numeric conflict; the
+    usage text still goes to stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qpd.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qpd.cli", *flags],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: qpd") and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("qpd: error:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qpd")
+
+
 def test_closed_pipe_exits_cleanly():
     """A reader that closes stdout after one byte (``qpd ... | head -c 1``)
     gets exit code 1 and no traceback.  The report, about 70 kB, overfills the

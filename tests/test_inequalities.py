@@ -22,7 +22,7 @@ from qpd.inequalities import (
     residual_tensor,
 )
 from qpd.oracle import OracleConfig, min_on_sphere, rationalize_and_confirm
-from qpd.tensors import evaluate, format_scalar, integer_point
+from qpd.tensors import TernaryQuartic, evaluate, format_scalar, integer_point
 from qpd.ternary import SignClassTensor, classify_ternary, validate_class
 from qpd.verdicts import Classification
 
@@ -589,23 +589,23 @@ def bound_points(rng):
     return points
 
 
-def bound_forms(rng):
-    """The 20 variants' integer forms and 12 random integer forms with weights
-    up to 10**6, most of them indefinite."""
-    forms = [residual_tensor(iid).integer_form for iid in CHECKED_VARIANTS]
-    exponents = [e for e in inequalities._COLUMN]
+def bound_tensors(rng):
+    """The 20 variants and 12 random ternaries with integer coefficients up
+    to 10**6 (weights up to 12 * 10**6), most of them indefinite."""
+    tensors = [residual_tensor(iid) for iid in CHECKED_VARIANTS]
     for _ in range(12):
-        forms.append((1, tuple((rng.randint(-10**6, 10**6), *e) for e in exponents)))
-    return forms
+        tensors.append(TernaryQuartic(tuple(rng.randint(-10**6, 10**6) for _ in range(15))))
+    return tensors
 
 
 def test_float_residuals_are_within_their_bound():
     """|F - N| <= B against the exact numerators N, for every form at every
     point of bound_points."""
     rng = random.Random(5)
-    forms = bound_forms(rng)
+    tensors = bound_tensors(rng)
+    forms = [T.integer_form for T in tensors]
     points = bound_points(rng)
-    K = inequalities._float_weights(forms)
+    K = inequalities._float_weights(tensors)
     F_, B = inequalities._float_residuals(np.array(points, dtype=float), K)
     assert np.all(np.isfinite(F_)) and np.all(np.isfinite(B))
     for i, n in enumerate(points):
@@ -618,13 +618,14 @@ def test_settled_pairs_are_positive():
     """No (point, form) pair that _settled leaves to floats has an exact
     numerator N <= 0, C32_i on the diagonal included."""
     rng = random.Random(6)
-    forms = bound_forms(rng)
+    tensors = bound_tensors(rng)
+    forms = [T.integer_form for T in tensors]
     points = bound_points(rng)
     L = np.array([rng.randint(1, 10**6) for _ in points], dtype=np.int64)
     n = np.array(points, dtype=np.int64)
     c32 = np.array([t < len(CHECKED_VARIANTS) and CHECKED_VARIANTS[t].name is IneqName.C32_I
                     for t in range(len(forms))])
-    settled = inequalities._settled(L, n, inequalities._float_weights(forms), c32)
+    settled = inequalities._settled(L, n, inequalities._float_weights(tensors), c32)
     assert settled.any() and not settled.all()
     for i, x in enumerate(points):
         _, numerators = inequalities.exact_numerators(forms, x)

@@ -123,7 +123,7 @@ class TestMinOnSphere:
                                                                MULTIPLICITIES[dim])
                    if 3 not in m}
         T = build_tensor(dim, entries)
-        assert np.all(np.isfinite(_float_terms(T)))
+        assert np.all(np.isfinite(_float_terms([T])[0]))
         with pytest.raises(NonFiniteValue):
             min_on_sphere(T, CFG)
 
@@ -148,8 +148,67 @@ def test_overflow_is_raised_exactly_when_a_seed_value_overflows(dim):
                     raised.append(False)
                 except NonFiniteValue:
                     raised.append(True)
-                assert raised[-1] == (not np.all(np.isfinite(values(_float_terms(T)))))
+                assert raised[-1] == (not np.all(np.isfinite(values(_float_terms([T])[0]))))
     assert any(raised) and not all(raised)
+
+
+def former_float_terms(T):
+    """T's weighted coefficients by the former formula w * float(c), one
+    Fraction at a time, or None where it overflows or rounds a nonzero
+    coefficient to 0."""
+    C = []
+    for _, w, c in T.terms():
+        try:
+            v = w * float(c)
+        except OverflowError:
+            return None
+        if not math.isfinite(v) or (c != 0 and v == 0):
+            return None
+        C.append(v)
+    return C
+
+
+# Coefficients for _float_terms: rationals with numerators and denominators up
+# to 10**300; floats, subnormals included, read at their exact values; and
+# zeros.  A stack may get one extreme coefficient, a little inside or beyond an
+# end of the float64 range.
+COEFFICIENTS = st.one_of(
+    st.builds(F, st.integers(-10**300, 10**300), st.integers(1, 10**300)),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0, F(0), 0.0, -0.0]),
+)
+EXTREMES = st.builds(lambda sign, v, k: sign * F(v) * F(2) ** k, st.sampled_from([1, -1]),
+                     st.floats(1, 2, exclude_max=True),
+                     st.one_of(st.integers(1016, 1024), st.integers(-1080, -1066)))
+
+
+@st.composite
+def stacks(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    m = len(MULTI_INDICES[dim])
+    rows = draw(st.lists(st.lists(COEFFICIENTS, min_size=m, max_size=m), min_size=1,
+                         max_size=4))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, m - 1))] = draw(EXTREMES)
+    return [BinaryQuartic(*r) if dim == 2 else TernaryQuartic(r) for r in rows]
+
+
+@given(stacks())
+@example([BinaryQuartic(F(2) ** 1024, 0, 0, 0, 1)])  # float(c) overflows
+@example([BinaryQuartic(0, F(1e308), 0, 0, 1)])  # 4 * 1e308 overflows
+@example([BinaryQuartic(1, 0, 0, 0, 1), BinaryQuartic(F(1, 2**1075), 0, 0, 0, 1)])  # -> 0
+@example([TernaryQuartic([F(1, 2**1074)] * 15)])  # the least subnormal, times w
+@example([TernaryQuartic([0] * 14 + [F(-3, 2**1076)])])  # rounds to -2**-1074
+def test_float_terms_equal_the_former_formula(stack):
+    """Each row of _float_terms, w * (k / D) from the integer coefficients,
+    equals w * float(c) bit for bit, and a stack raises NonFiniteValue
+    exactly when the former formula fails on one of its tensors."""
+    rows = [former_float_terms(T) for T in stack]
+    if any(row is None for row in rows):
+        with pytest.raises(NonFiniteValue):
+            _float_terms(stack)
+    else:
+        assert same_bits(_float_terms(stack), np.array(rows))
 
 
 def general_ternary():
@@ -197,7 +256,7 @@ class TestSeedCache:
         Of a ternary grid at most about 16,384 seeds are checked: every
         seed up to n = 128, above that every s-th for an odd s (which meets
         every azimuth), and the pole."""
-        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
+        C, E = _float_terms([DIM_TENSORS[dim]])[0], _exponents(dim)
         values = _seeds(dim, n)[0](C)
         if dim == 2:
             direct = direct_monomials(reference_grid(2, n), E) @ C
@@ -211,7 +270,7 @@ class TestSeedCache:
     def test_cached_arrays_are_read_only(self):
         """Values and points are new arrays, so writing to them leaves the
         cached tables as they were."""
-        C = _float_terms(DIM_TENSORS[3])
+        C = _float_terms([DIM_TENSORS[3]])[0]
         values, points = _seeds(3, 64)
         first, seeds = values(C), points(np.arange(10))
         expected_values, expected_seeds = first.copy(), seeds.copy()
@@ -241,7 +300,7 @@ class TestSeedCache:
         M = direct_monomials(reference_grid(3, n), _exponents(3))
         values = _seeds(3, n)[0]
         for T in SIGN_CLASS[::8] + VARIANTS + [DIM_TENSORS[3]]:
-            C = _float_terms(T)
+            C = _float_terms([T])[0]
             assert np.abs(values(C) - M @ C).max() <= 1e-14 * np.abs(C).sum()
 
     @pytest.mark.parametrize("n, k", [(256, 32), (64, 8)])
@@ -251,7 +310,7 @@ class TestSeedCache:
         M = direct_monomials(reference_grid(3, n), _exponents(3))
         values = _seeds(3, n)[0]
         for T in SIGN_CLASS + VARIANTS:
-            C = _float_terms(T)
+            C = _float_terms([T])[0]
             assert np.array_equal(_lowest(values(C), k), _lowest(M @ C, k))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -259,7 +318,7 @@ class TestSeedCache:
         T = DIM_TENSORS[dim]
         points = [(F(1), F(-2, 3), F(1, 5)), (F(-3, 7), F(4, 9), F(2)), (F(1, 2), F(0), F(-1))]
         points = [p[:dim] for p in points]
-        C, E = _float_terms(T), _exponents(dim)
+        C, E = _float_terms([T])[0], _exponents(dim)
         G = _grad_batch(np.array(points, dtype=float), C, E)
         for row, p in zip(G, points):
             exact = [float(g) for g in gradient(T, p)]
@@ -315,7 +374,7 @@ class TestPowerTable:
         direct formulas bit for bit."""
         dim, make = POINT_SETS[points]
         X = make()
-        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
+        C, E = _float_terms([DIM_TENSORS[dim]])[0], _exponents(dim)
         kernel = _kernel(dim, 1, len(X))
         for row in [C, *np.eye(len(C))]:
             f, G = (a[0] for a in kernel(X[None], _weights(row[None], E)))
@@ -326,7 +385,7 @@ class TestPowerTable:
     def test_gradient(self, points):
         dim, make = POINT_SETS[points]
         X = make()
-        C, E = _float_terms(DIM_TENSORS[dim]), _exponents(dim)
+        C, E = _float_terms([DIM_TENSORS[dim]])[0], _exponents(dim)
         G = _grad_batch(X, C, E)
         assert G.flags.c_contiguous
         assert same_bits(G, loop_gradient(X, C, E))
@@ -344,7 +403,7 @@ class TestNewton:
     def test_hessian_weights_match_exact(self, dim):
         """The Hessian is the quadratic monomials times one weight matrix."""
         T = DIM_TENSORS[dim]
-        C = _float_terms(T)
+        C = _float_terms([T])[0]
         source, factor, pairs, lines = _hessian_table(dim)
         assert source.shape == factor.shape == (dim * (dim + 1) // 2,) * 2
         assert lines[dim].tolist() == [len(source) + k for k in range(dim)]
@@ -374,7 +433,7 @@ class TestSeedSelection:
         rng = np.random.default_rng(11)
         ties = rng.integers(0, 5, 1000).astype(float)
         zeros = rng.choice([0.0, -0.0, 1.0], 200)  # +0.0 and -0.0 tie
-        C = _float_terms(boundary_tensor())
+        C = _float_terms([boundary_tensor()])[0]
         seed_values = _seeds(3, 256)[0](C)
         for values in (ties, zeros, rng.standard_normal(300), seed_values):
             for k in (1, 2, 32, len(values) - 1, len(values), len(values) + 24):
@@ -396,7 +455,7 @@ class TestSeedSelection:
         up to 130 and every 61st k after (each plain k there takes about 3.5
         ms, so all of them would take 3 s)."""
         rng = np.random.default_rng(n)
-        C = _float_terms(boundary_tensor())
+        C = _float_terms([boundary_tensor()])[0]
         grids = [_seeds(3, n)[0](C)]
         if n < 1024:
             grids.append(rng.choice([0.0, 1.0, 2.0, -0.0], n * n + 1))
@@ -558,7 +617,7 @@ def test_frozen_starts_have_converged(T, monkeypatch):
     every stop rule off (stall, gradient norm and Newton decrement), lowers
     no start by more than 1e-12."""
     cfg = OracleConfig()
-    C = _float_terms(T)
+    C = _float_terms([T])[0]
     values, points = _seeds(T.dim, cfg.grid_resolution)
     X, f, _ = _refine(points(_lowest(values(C), cfg.starts))[None], C[None])
     monkeypatch.setattr(oracle, "_STALL", oracle._REFINE_ITERS + 1)
@@ -606,6 +665,49 @@ class TestStack:
         assert minima_on_sphere([], CFG) == []
         with pytest.raises(ValueError):
             minima_on_sphere([DIM_TENSORS[2], DIM_TENSORS[3]], CFG)
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_starts_equal_starts_alone(dim, n):
+    """Each row of _starts on a 64-form stack equals the starts of its form
+    alone, bit for bit: 64 sign-class ternaries, whose seed values tie, or 64
+    binaries with small integer weights."""
+    cfg = OracleConfig(grid_resolution=n)
+    if dim == 3:
+        C = _float_terms(SIGN_CLASS[::4])
+    else:
+        C = np.random.default_rng(n).integers(-4, 5, (64, 5)).astype(float)
+    stacked = oracle._starts(C, dim, cfg)
+    assert stacked.shape == (64, min(cfg.starts, n if dim == 2 else n * n + 1), dim)
+    for row, starts in zip(C, stacked):
+        assert same_bits(starts, oracle._starts(row[None], dim, cfg)[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_stack_overflows_exactly_when_a_form_alone_does(dim):
+    """A form of weights near the top of the float64 range, inserted into a
+    stack of ordinary forms, makes _starts raise NonFiniteValue exactly when
+    it raises alone."""
+    rng = np.random.default_rng(10 + dim)
+    m = len(MULTI_INDICES[dim])
+    ordinary = rng.standard_normal((8, m))
+
+    def overflows(C):
+        try:
+            oracle._starts(C, dim, CFG)
+        except NonFiniteValue:
+            return True
+        return False
+
+    alone = []
+    for scale in 2.0 ** np.linspace(1012, 1023.99, 12):
+        for _ in range(4):
+            row = rng.uniform(0.9, 1, m) * np.where(rng.random(m) < 0.8, scale, -scale)
+            alone.append(overflows(row[None]))
+            stack = np.insert(ordinary, rng.integers(0, 9), row, axis=0)
+            assert overflows(stack) == alone[-1]
+    assert any(alone) and not all(alone)
 
 
 class TestRationalize:
