@@ -29,13 +29,13 @@ searching it alone, bit for bit.  The stack pays the loop's fixed cost per
 numpy call once for all its forms.
 
 f and its gradient are evaluated together by one kernel (``_kernel``), the
-module's only monomial gather, whose products and sums keep the order of the
+module's only monomial gathers, whose products and sums keep the order of the
 direct formulas, so the results equal theirs bit for bit.  A backtracking
 candidate is evaluated once, and the gradient of an accepted point is carried
 into the next iteration.  The Hessian's distinct entries are the quadratic
-monomials times a per-form weight matrix (``_hessian_table``), and the step's
-sums over short axes are written out term by term (``_sum``), in numpy's
-order.
+monomials times a per-form weight matrix (``_hessian_table``).  The step's
+arrays put their short axes first and (forms, starts) last, so each short sum
+is one ``np.add.reduce`` over axis 0 onto ``initial=0.0``, left to right.
 
 The coefficient rows C come from the tensors' integer coefficients
 (``_float_terms``).  Seeding reads a ternary's n**2 + 1 seed values once, to
@@ -159,39 +159,41 @@ def _float_terms(tensors: Sequence[Quartic]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_index(dim: int, n: int) -> np.ndarray:
-    """The kernel's gather index for n points: index[j, s, i, m] is the
-    position of X[i, j] ** E_s[m, j] (see ``_kernel``) in one form's power
-    table of shape (n, dim, 5), flattened.  It is C-contiguous, so that
-    ``take`` walks it in order, and read-only."""
+def _kernel_index(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's gather indices for n points and the exponents (a, b, c) of
+    the m-th monomial of E_s (see ``_kernel``): xy[s, i, m] of x_i**a * y_i**b
+    in one form's (5, 5, n) product table, and z[s, i, m] of z_i**c in its (n,
+    5) powers of z, both flattened.  C-contiguous, and read-only."""
     lower = np.eye(dim + 1, dim, -1, dtype=int)[:, None]  # row 1 + k lowers column k
     tables = np.maximum(_exponents(dim) - lower, 0)
-    points = 5 * dim * np.arange(n)[:, None] + 5 * np.arange(dim)[:, None, None, None]
-    index = np.ascontiguousarray(points + np.moveaxis(tables, -1, 0)[:, :, None])
-    index.flags.writeable = False
-    return index
+    points = np.arange(n)[:, None]
+    xy = points + n * (5 * tables[..., 0] + tables[..., 1])[:, None]
+    z = 5 * points + tables[:, None, :, -1]  # a binary's is unused
+    xy.flags.writeable = z.flags.writeable = False
+    return xy, z
 
 
 def _kernel(dim: int, forms: int, n: int):
     """f and its gradient at a stack of up to ``forms`` sets of n points, as
-    one function (X, V, needed) -> (f, G) with X of shape (k, n, dim) for any
+    one function (X, V, needed) -> (f, G) with X of shape (dim, k, n) for any
     k <= forms and V = ``_weights(C, E)`` for the k forms' coefficient rows C.
+    f has shape (k, n) and G, like X, (dim, k, n).
 
-    One ``take`` through the cached ``_kernel_index`` gathers, from each
-    form's power table ``X[..., None] ** arange(5)`` (a quartic's monomials
-    use no other powers), the monomials M[:, s] of E_0 = E =
-    ``_exponents(dim)`` and of each E_(1 + k), E with column k lowered by one
-    (floored at 0).  Their factors are multiplied in x_1, x_2, ... order, so
-    each equals ``np.prod(X ** E_s[m], axis=-1)`` bit for bit.  Then f = M[:,
-    0] @ C and df/dx_k = M[:, 1 + k] @ (C * E[:, k]), each one BLAS mat-vec
-    over a contiguous (n, m) matrix (``np.matmul`` makes one per form and
-    table), which sums in a fixed order; G is made C-contiguous because numpy
-    sums a row of a differently ordered array in another order.
+    From each coordinate's powers ``X[..., None] ** arange(5)`` (a quartic's
+    monomials use no other powers) it builds one table of the products x**a *
+    y**b for a, b <= 4, a row of n points per (a, b).  For the monomials of
+    E_0 = E = ``_exponents(dim)`` and of each E_(1 + k), E with column k
+    lowered by one (floored at 0), one ``take`` through the cached
+    ``_kernel_index`` gathers x**a * y**b, and for a ternary a second gathers
+    z**c and multiplies it in, so each monomial M[:, s] is (x**a * y**b) *
+    z**c and equals ``np.prod(X ** E_s[m], axis=-1)`` bit for bit.  Then f = M[:, 0] @ C and df/dx_k = M[:, 1 + k] @ (C * E[:,
+    k]), each one BLAS mat-vec over a contiguous (n, m) matrix (``np.matmul``
+    makes one per form and table), which sums in a fixed order.
 
-    The power and factor buffers are the kernel's own, built once for the
-    whole stack: k forms use their first k rows.  Powers 0 and 1 are exactly
-    1 and X, so only powers 2 to 4 call ``pow``, and only for the points
-    where ``needed`` (True, or a (k, n, 1, 1) mask) holds; f and G are
+    The power, table and monomial buffers are the kernel's own, built once
+    for the whole stack: k forms use their first k rows.  Powers 0 and 1 are
+    exactly 1 and X, so only powers 2 to 4 call ``pow``, and only for the
+    points where ``needed`` (True, or a (k, n, 1) mask) holds; f and G are
     meaningful only there.
 
     ``np.power`` stays although it is slow on negative bases: numpy takes a
@@ -199,21 +201,30 @@ def _kernel(dim: int, forms: int, n: int):
     positive bases (2-vCPU x86 VM, numpy 2.4), and its cubes and fourth
     powers of bases in [-1, 0) differ from libm's pow on about 0.1% of them
     and from numpy's own vectorized path (|x| ** e, sign restored) on about
-    5%.  Any other route would move argmins and the pinned results.
+    5%.  The squares stay in the same call: with a scalar exponent
+    ``np.power(x, 2.0)`` is x * x, but the exponent array takes numpy's SIMD
+    pow, which differs from x * x on 49 of the 1,920 start coordinates of the
+    20-variant stack.  Any other route would move argmins and the pinned
+    results.
     """
-    index = _kernel_index(dim, n)
-    factors = np.empty((forms,) + index.shape)  # reused: each call's product is a new array
-    powers = np.ones((forms, n, dim, 5))
+    xy, z = _kernel_index(dim, n)
+    powers = np.ones((dim, forms, n, 5))
+    table = np.empty((forms, 5, 5, n))
+    monomials = np.empty((dim - 1, forms) + xy.shape)  # reused: each call's R is a new array
 
     def kernel(X, V, needed=True):
-        k = len(X)
-        P = powers[:k]
+        k = X.shape[1]
+        P = powers[:, :k]
         P[..., 1] = X
         np.power(X[..., None], _HIGH_POWERS, out=P[..., 2:], where=needed)
+        x, y = P[0].swapaxes(1, 2), P[1].swapaxes(1, 2)
+        np.multiply(x[:, :, None], y[:, None], out=table[:k])
         # The index is in range; "clip" spares take a buffered bounds check.
-        F = np.take(P.reshape(k, -1), index, axis=1, out=factors[:k], mode="clip")
-        R = np.matmul(np.multiply.reduce(F, axis=1), V)
-        return R[:, 0, :, 0], R[:, 1:, :, 0].transpose(0, 2, 1).copy()
+        M = np.take(table[:k].reshape(k, -1), xy, axis=1, out=monomials[0, :k], mode="clip")
+        if dim == 3:
+            M *= np.take(P[2].reshape(k, -1), z, axis=1, out=monomials[1, :k], mode="clip")
+        R = np.matmul(M, V)
+        return R[:, 0, :, 0], R[:, 1:, :, 0].transpose(1, 0, 2)
 
     return kernel
 
@@ -319,34 +330,20 @@ def _hessian_table(dim: int):
 
 
 def _tangent_basis(X: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the tangent space at each unit row of X, shaped
-    (..., dim - 1, dim).  For dim 3 it is the branchless basis of Duff et al.,
-    "Building an Orthonormal Basis, Revisited" (JCGT, 2017)."""
-    B = np.empty(X.shape[:-1] + (X.shape[-1] - 1, X.shape[-1]))
-    if X.shape[-1] == 2:
-        B[..., 0, 0], B[..., 0, 1] = -X[..., 1], X[..., 0]
+    """An orthonormal basis B[:, a] of the tangent space at each unit point
+    X[:, ...], shaped (dim, dim - 1, ...).  For dim 3 it is the branchless
+    basis of Duff et al., "Building an Orthonormal Basis, Revisited" (JCGT, 2017)."""
+    B = np.empty((len(X), len(X) - 1) + X.shape[1:])
+    if len(X) == 2:
+        B[0, 0], B[1, 0] = -X[1], X[0]
         return B
-    x, y, z = X[..., 0], X[..., 1], X[..., 2]
+    x, y, z = X
     sign = np.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    B[..., 0, 0], B[..., 0, 1], B[..., 0, 2] = 1.0 + sign * x * x * a, sign * b, -sign * x
-    B[..., 1, 0], B[..., 1, 1], B[..., 1, 2] = b, sign + y * y * a, -y
+    B[0, 0], B[1, 0], B[2, 0] = 1.0 + sign * x * x * a, sign * b, -sign * x
+    B[0, 1], B[1, 1], B[2, 1] = b, sign + y * y * a, -y
     return B
-
-
-def _sum(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=-1)`` over a short last axis.  numpy adds such
-    an axis left to right onto +0.0 (so a sum of -0.0 terms is +0.0), at
-    about 17 ns per output on a 2-vCPU x86 VM; past a few hundred elements
-    one vectorized add per term, in the same order and so with the same
-    bits, is cheaper."""
-    if a.size < 512:
-        return np.add.reduce(a, axis=-1)
-    total = a[..., 0] + 0.0
-    for k in range(1, a.shape[-1]):
-        total += a[..., k]
-    return total
 
 
 def _direction(X, G, W, pairs, lines):
@@ -357,37 +354,37 @@ def _direction(X, G, W, pairs, lines):
     f on the sphere is A = B (Hess f - (x . grad f) I) B^T (Absil, Mahony &
     Sepulchre, 2008).  Where A is positive definite the step solves A c = -r;
     elsewhere it is the gradient step c = -r.  Then D = B^T c and the
-    decrease is -r . c, which is the Newton decrement or |r|^2.  The rows of
-    Hess f and then grad f are gathered from the Hessian's distinct entries
-    and G by ``lines`` (see ``_hessian_table``), so that B Hess f and r come
-    from one product.  Every operation acts on one start at a time, with sums
-    over short axes taken left to right (``_sum``), so a start's direction
+    decrease is -r . c, which is the Newton decrement or |r|^2.  The columns
+    of Hess f and then grad f are gathered from the Hessian's distinct
+    entries and G by ``lines`` (see ``_hessian_table``), so that B Hess f and
+    r come from one product.  Every operation acts on one start at a time,
+    with sums over short axes taken left to right, so a start's direction
     does not depend on the stack.
     """
     B = _tangent_basis(X)
-    quadratic = X[..., pairs[0]] * X[..., pairs[1]]
-    # numpy reduces this length-6 axis faster than six adds would.
-    H = np.add.reduce(quadratic[:, :, None] * W[:, None], axis=3)
-    HG = np.concatenate([H, G], axis=2)[..., lines]
-    HB = _sum(HG[:, :, None] * B[:, :, :, None])
-    r = HB[..., -1]
-    A = _sum(HB[:, :, :, None, :-1] * B[:, :, None])
-    radial = _sum(G * X)
-    if r.shape[2] == 1:
-        a = A[..., 0, 0] - radial
+    quadratic = X[pairs[0]] * X[pairs[1]]
+    H = np.add.reduce(quadratic[:, None] * W, axis=0, initial=0.0)
+    HG = np.concatenate([H, G])[lines.T]
+    HB = np.add.reduce(HG[:, :, None] * B[:, None], axis=0, initial=0.0)
+    r = HB[-1]
+    A = np.add.reduce(HB[:-1, :, None] * B[:, None], axis=0, initial=0.0)
+    radial = np.add.reduce(G * X, axis=0, initial=0.0)
+    if len(r) == 1:
+        a = A[0, 0] - radial
         positive = a > 0
-        c = -r / a[..., None]
+        c = -r / a
     else:
-        a, b, e = A[..., 0, 0] - radial, A[..., 0, 1], A[..., 1, 1] - radial
+        a, b, e = A[0, 0] - radial, A[0, 1], A[1, 1] - radial
         det = a * e - b * b
         positive = (a > 0) & (det > 0)
         c = np.empty_like(r)
-        c[..., 0] = (b * r[..., 1] - e * r[..., 0]) / det
-        c[..., 1] = (b * r[..., 0] - a * r[..., 1]) / det
-    g2 = _sum(r * r)
-    decrement = -_sum(r * c)
+        c[0] = (b * r[1] - e * r[0]) / det
+        c[1] = (b * r[0] - a * r[1]) / det
+    g2 = np.add.reduce(r * r, axis=0, initial=0.0)
+    decrement = -np.add.reduce(r * c, axis=0, initial=0.0)
     newton = positive & np.isfinite(decrement)
-    D = _sum((np.where(newton[..., None], c, -r)[..., None] * B).swapaxes(2, 3))
+    D = np.add.reduce(np.where(newton, c, -r)[:, None] * B.swapaxes(0, 1), axis=0,
+                      initial=0.0)
     return D, np.where(newton, decrement, g2), g2, newton
 
 
@@ -412,29 +409,31 @@ def _refine(X, C):
     it alone, bit for bit.  Returns the points, their values and each form's
     number of iterations.
 
-    Every array keeps one row per form still refining (``rows`` names it);
-    the rows of forms that stop are written out and dropped.
+    Inside, points, gradients and steps are (dim, forms, starts).  Every
+    array keeps one row per form still refining (``rows`` names it); the
+    rows of forms that stop are written out and dropped.
     """
     forms, n, dim = X.shape
+    X = np.moveaxis(X, -1, 0)
     kernel = _kernel(dim, forms, n)
     V = _weights(C, _exponents(dim))
     source, factor, pairs, lines = _hessian_table(dim)
-    W = C[:, source] * factor
-    resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1)
+    W = (C.T[source.T] * factor.T[..., None])[..., None]  # (q, p, forms, 1)
+    resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1, keepdims=True)
 
     def trial(X, D, scale, active, f, decrease, V):
         """Candidates, their values, gradients and acceptance.  A frozen start
         is never accepted, so its candidate is not evaluated."""
-        cand = X + (scale * active)[:, :, None] * D
-        cand /= np.sqrt(_sum(cand * cand))[..., None]
-        fc, Gc = kernel(cand, V, active[:, :, None, None])
+        cand = X + (scale * active) * D
+        cand /= np.sqrt(np.add.reduce(cand * cand, axis=0, initial=0.0))
+        fc, Gc = kernel(cand, V, active[..., None])
         return cand, fc, Gc, active & (fc <= f - 1e-4 * scale * decrease)
 
     step = np.full((forms, n), 0.1)
     damping = np.ones((forms, n))
     lowered = np.zeros((forms, n), dtype=int)  # the last iteration that lowered each start
     rows = np.arange(forms)  # the form of each row still refining
-    X_out, f_out = np.empty_like(X), np.empty((forms, n))
+    X_out, f_out = np.empty((forms, n, dim)), np.empty((forms, n))
     iterations = np.empty(forms, dtype=int)
     done = 0
     # Overflow to inf/nan is tolerated here; minima_on_sphere has checked the
@@ -445,20 +444,21 @@ def _refine(X, C):
         while True:
             D, decrease, g2, newton = _direction(X, G, W, pairs, lines)
             active = ((g2 > _REFINE_TOL**2) & (lowered > done - _STALL)
-                      & ~(newton & (decrease <= resolution[:, None])))
+                      & ~(newton & (decrease <= resolution)))
             running = active.any(axis=1)
             if done == _REFINE_ITERS:
                 running[:] = False
             if not running.all():
                 stopped = rows[~running]
-                X_out[stopped], f_out[stopped] = X[~running], f[~running]
-                iterations[stopped] = done
+                X_out[stopped] = np.moveaxis(X[:, ~running], 0, -1)
+                f_out[stopped], iterations[stopped] = f[~running], done
                 if not running.any():
                     return X_out, f_out, iterations
-                (X, f, G, D, decrease, newton, active, step, damping, lowered, V, W,
-                 resolution, rows) = (
-                    a[running] for a in (X, f, G, D, decrease, newton, active, step, damping,
-                                         lowered, V, W, resolution, rows))
+                V, rows = V[running], rows[running]
+                (X, f, G, D, decrease, newton, active, step, damping, lowered, W,
+                 resolution) = (
+                    a[..., running, :] for a in (X, f, G, D, decrease, newton, active, step,
+                                                 damping, lowered, W, resolution))
             done += 1
             scale = np.where(newton, damping, step)
             cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease, V)
@@ -477,11 +477,10 @@ def _refine(X, C):
                     if attempt == 60:
                         break
                     s = np.flatnonzero(search)
-                    cand[s], fc[s], Gc[s], ok[s] = trial(
-                        X[s], D[s], scale[s], active[s], f[s], decrease[s], V[s])
-            accepted = ok[:, :, None]
-            X = np.where(accepted, cand, X)
-            G = np.where(accepted, Gc, G)  # the gradient at the accepted points
+                    cand[:, s], fc[s], Gc[:, s], ok[s] = trial(
+                        X[:, s], D[:, s], scale[s], active[s], f[s], decrease[s], V[s])
+            X = np.where(ok, cand, X)
+            G = np.where(ok, Gc, G)  # the gradient at the accepted points
             lowered = np.where(ok & (fc < f), done, lowered)
             f = np.where(ok, fc, f)
             grown = np.where(newton, np.minimum(2 * scale, 1.0), 1.5 * scale)

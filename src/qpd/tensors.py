@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
+import operator
 import re
 import sys
 from collections import Counter
@@ -83,11 +85,27 @@ def parse_scalar(value: Union[str, int, float, Fraction]) -> Fraction:
 
 
 def _check_coefficient(value) -> None:
-    """Refuse a bool, and a float that is inf or nan, as a coefficient."""
-    if isinstance(value, bool):
+    """Refuse a bool (numpy's, of dtype kind "b", too), and a float that is
+    inf or nan, as a coefficient."""
+    if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
         raise TensorError(f"boolean is not a valid coefficient: {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise TensorError(f"coefficient is not finite: {value!r}")
+
+
+def _exact(value):
+    """A coefficient as a quartic stores it, checked by
+    ``_check_coefficient``: a float as the Fraction of its exact binary value,
+    an integral scalar of another type (numpy's ``int64``, say, which has no
+    ``as_integer_ratio``) as an int, and anything else as it is."""
+    if type(value) in (int, Fraction):  # nothing to check or convert
+        return value
+    _check_coefficient(value)
+    if isinstance(value, float):
+        return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return operator.index(value)
+    return value
 
 
 def _digit_limit() -> int:
@@ -156,15 +174,14 @@ def _canonical_key(key, dim: int) -> MultiIndex:
 class _QuarticTerms:
     """Term iteration and the exact integer form, shared by both quartic
     classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order.
-    A bool, inf or nan coefficient is refused at construction, and a float is
-    stored as the Fraction of its exact binary value, so that every decision
-    on the coefficients is exact.  The fields are rewritten through
-    ``object.__setattr__``, since the dataclasses are frozen."""
+    A bool, inf or nan coefficient is refused at construction, a float is
+    stored as the Fraction of its exact binary value and an integral numpy
+    scalar as an int, so that every decision on the coefficients is exact.
+    The fields are rewritten through ``object.__setattr__``, since the
+    dataclasses are frozen."""
 
     def __post_init__(self):
-        for value in self.coeffs:
-            _check_coefficient(value)
-        exact = tuple(Fraction(v) if isinstance(v, float) else v for v in self.coeffs)
+        exact = tuple(map(_exact, self.coeffs))
         # TernaryQuartic keeps one field, the tuple; BinaryQuartic one per coefficient.
         fields = (exact,) if self.dim == 3 else exact
         for name, value in zip(self.__dataclass_fields__, fields):

@@ -24,7 +24,6 @@ from qpd.oracle import (
     _lowest,
     _refine,
     _seeds,
-    _sum,
     _tangent_basis,
     _weights,
     min_on_sphere,
@@ -44,13 +43,15 @@ CFG = OracleConfig(grid_resolution=64, starts=8)
 
 
 def _eval_batch(X, C, E):
-    """f at each row of X, as the oracle evaluates it: a stack of one form."""
-    return _kernel(E.shape[1], 1, len(X))(X[None], _weights(C[None], E))[0][0]
+    """f at each row of X, as the oracle evaluates it: a stack of one form,
+    its points given as (dim, 1, n)."""
+    return _kernel(E.shape[1], 1, len(X))(X.T[:, None], _weights(C[None], E))[0][0]
 
 
 def _grad_batch(X, C, E):
-    """The gradient at each row of X, as the oracle evaluates it."""
-    return _kernel(E.shape[1], 1, len(X))(X[None], _weights(C[None], E))[1][0]
+    """The gradient at each row of X, as the oracle evaluates it, one row per
+    point."""
+    return _kernel(E.shape[1], 1, len(X))(X.T[:, None], _weights(C[None], E))[1][:, 0].T
 
 
 def case1_tensor():
@@ -377,18 +378,16 @@ class TestPowerTable:
         C, E = _float_terms([DIM_TENSORS[dim]])[0], _exponents(dim)
         kernel = _kernel(dim, 1, len(X))
         for row in [C, *np.eye(len(C))]:
-            f, G = (a[0] for a in kernel(X[None], _weights(row[None], E)))
-            assert same_bits(f, direct_monomials(X, E) @ row)
-            assert same_bits(G, loop_gradient(X, row, E))
+            f, G = kernel(X.T[:, None], _weights(row[None], E))
+            assert same_bits(f[0], direct_monomials(X, E) @ row)
+            assert same_bits(G[:, 0], loop_gradient(X, row, E).T)
 
     @pytest.mark.parametrize("points", sorted(POINT_SETS))
     def test_gradient(self, points):
         dim, make = POINT_SETS[points]
         X = make()
         C, E = _float_terms([DIM_TENSORS[dim]])[0], _exponents(dim)
-        G = _grad_batch(X, C, E)
-        assert G.flags.c_contiguous
-        assert same_bits(G, loop_gradient(X, C, E))
+        assert same_bits(_grad_batch(X, C, E), loop_gradient(X, C, E))
 
 
 def exact_hessian(T, x):
@@ -417,12 +416,12 @@ class TestNewton:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_tangent_basis_is_orthonormal(self, dim):
         """Signed zeros and both poles included."""
-        X = unit_points(dim)
+        X = unit_points(dim).T
         B = _tangent_basis(X)
-        assert B.shape == (len(X), dim - 1, dim)
-        gram = np.einsum("nak,nbk->nab", B, B)
-        assert np.abs(gram - np.eye(dim - 1)).max() < 1e-14
-        assert np.abs(np.einsum("nak,nk->na", B, X)).max() < 1e-14
+        assert B.shape == (dim, dim - 1, X.shape[1])
+        gram = np.einsum("kan,kbn->abn", B, B)
+        assert np.abs(gram - np.eye(dim - 1)[..., None]).max() < 1e-14
+        assert np.abs(np.einsum("kan,kn->an", B, X)).max() < 1e-14
 
 
 class TestSeedSelection:
@@ -569,21 +568,67 @@ def test_small_grid_results_are_pinned():
     assert digest.hexdigest() == SMALL_GRID_DIGEST
 
 
-@pytest.mark.parametrize("shape", [(7, 1), (1, 32, 2), (1, 32, 3), (20, 32, 3),
-                                   (20, 32, 2, 4, 3), (20, 32, 2, 3)])
-def test_short_sums_equal_numpy_reduce(shape):
-    """_sum has numpy's bits on either side of its size switch, with signed
-    zeros (a row of -0.0 sums to +0.0), infinities and NaN among the terms,
-    and on a transposed view."""
-    rng = np.random.default_rng(len(shape))
+def seeded_stack(dim, forms, seed):
+    """``forms`` tensors of one dimension with seeded rational entries: the
+    x_i**4 entries in [1, 8 dim - 4] and the others in [-1, 1], each over a
+    denominator in [1, 4], so that some forms are PD and some are not."""
+    rng = np.random.default_rng(seed)
+    high = [8 * dim - 3 if len(set(i)) == 1 else 2 for i in MULTI_INDICES[dim]]
+    low = [1 if h > 2 else -1 for h in high]
+    rows = [[F(int(k), int(d)) for k, d in zip(rng.integers(low, high),
+                                               rng.integers(1, 5, len(high)))]
+            for _ in range(forms)]
+    return [BinaryQuartic(*r) if dim == 2 else TernaryQuartic(r) for r in rows]
+
+
+# SHA-256 over minima_on_sphere of seeded stacks of 1 and 3 forms of either
+# dimension, at grids 8 and 16 with 1, 2 and 7 starts, then of one ternary at
+# grid 32 with 1024 starts, hashed as for SIGN_CLASS_DIGEST.
+ODD_SHAPES_DIGEST = "b261a6e1178758f12cfe774f01671e0af4f0a7164d0db971f457926789a93563"
+
+
+def test_odd_stack_shapes_are_pinned():
+    digest = hashlib.sha256()
+    runs = [(seeded_stack(dim, forms, 100 * dim + forms),
+             OracleConfig(grid_resolution=n, starts=k))
+            for dim in (2, 3) for forms in (1, 3) for n in (8, 16) for k in (1, 2, 7)]
+    runs.append((seeded_stack(3, 1, 1024), OracleConfig(grid_resolution=32, starts=1024)))
+    for stack, cfg in runs:
+        for r in minima_on_sphere(stack, cfg):
+            digest.update(repr((r.min_value.hex(), [v.hex() for v in r.argmin],
+                                r.iterations, r.witness)).encode())
+    assert digest.hexdigest() == ODD_SHAPES_DIGEST
+
+
+def short_sum_shapes():
+    """The (terms, ...) shapes that _direction and the line search reduce over
+    their first axis, for each dimension, before the (forms, starts) axes:
+    the Hessian entries, B Hess f with r, the tangent Hessian, x . grad f,
+    |r|**2 and r . c, the step D, and the candidates' norms."""
+    for d in (2, 3):
+        p = d * (d + 1) // 2
+        yield from [(p, p), (d, d + 1, d - 1), (d, d - 1, d - 1), (d,), (d - 1,), (d - 1, d)]
+
+
+@pytest.mark.parametrize("stack", [(1, 1), (20, 32)])
+@pytest.mark.parametrize("terms", sorted(set(short_sum_shapes())))
+def test_short_sums_add_left_to_right(terms, stack):
+    """np.add.reduce over axis 0 with initial=0.0 adds the terms left to right
+    onto +0.0 (so a sum of -0.0 terms is +0.0), with infinities and NaN among
+    them, also on views whose first axis is not the outermost in memory."""
+    shape = terms + stack
+    rng = np.random.default_rng(len(shape) + sum(terms))
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     special = rng.random(shape) < 0.3
     a[special] = rng.choice([0.0, -0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
-    a[:3] = -0.0
+    a[:, :1] = -0.0
+    first_inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
     with np.errstate(invalid="ignore", over="ignore"):
-        for x in (a, a.swapaxes(-1, -2)):
-            if x.shape[-1] <= 6:  # a longer axis is summed pairwise
-                assert _sum(x).tobytes() == np.add.reduce(x, axis=-1).tobytes()
+        for x in (a, a.swapaxes(-1, -2), first_inner, a[..., ::2]):
+            total = np.zeros(x.shape[1:])
+            for term in x:
+                total = total + term
+            assert np.add.reduce(x, axis=0, initial=0.0).tobytes() == total.tobytes()
 
 
 # What the search held (traced, above its caller's baseline) when refinement

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,10 @@ from qpd.tensors import (
     multiplicity,
     parse_scalar,
 )
-from qpd.ternary import NotInClass, SignClassTensor
+from qpd.binary import classify_binary
+from qpd.oracle import OracleConfig, min_on_sphere
+from qpd.ternary import NotInClass, SignClassTensor, classify_ternary
+from qpd.verdicts import Classification
 
 from helpers import gradient, rewrite_forms
 
@@ -64,6 +68,43 @@ def test_quartic_constructors_refuse_bad_coefficients(value, position):
     ternary[3 * position] = value
     with pytest.raises(TensorError):
         TernaryQuartic(tuple(ternary))
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_numpy_bools_are_refused(position):
+    binary = [F(1), 0, F(1, 2), 0, 1]
+    binary[position] = np.True_
+    with pytest.raises(TensorError):
+        BinaryQuartic(*binary)
+    ternary = [F(1)] * 15
+    ternary[3 * position] = np.False_
+    with pytest.raises(TensorError):
+        TernaryQuartic(tuple(ternary))
+
+
+def as_numpy(coeffs, kind):
+    """The integral coefficients as numpy scalars of ``kind``; a negative one
+    stays a plain int where the kind is unsigned."""
+    return [kind(int(c)) if c >= 0 or np.iinfo(kind).min < 0 else int(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_coefficients_are_read_as_ints(kind):
+    """A binary and a ternary with numpy integer coefficients store them as
+    ints and get the verdict, witness and oracle result of the plain-int
+    tensors: a NotPSD binary, and a NotPSD sign-class ternary at level 2."""
+    binary = BinaryQuartic(1, 0, -1, 0, 1)
+    ternary = SignClassTensor(1, 1, -1, -1, -1, 1, F(2)).to_quartic()
+    cases = [(binary, BinaryQuartic(*as_numpy(binary.coeffs, kind)), classify_binary),
+             (ternary, TernaryQuartic(as_numpy(ternary.coeffs, kind)), classify_ternary)]
+    for T, N, classify in cases:
+        assert all(type(c) is int for c in N.coeffs) and N == T
+        verdict = classify(N)
+        assert verdict.classification is Classification.NOT_PSD
+        assert verdict.witness is not None and verdict == classify(T)
+        assert evaluate(N, verdict.witness) == evaluate(T, verdict.witness) < 0
+        cfg = OracleConfig()
+        assert min_on_sphere.__wrapped__(N, cfg) == min_on_sphere.__wrapped__(T, cfg)
 
 
 def test_quartic_constructors_keep_finite_floats():
