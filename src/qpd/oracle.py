@@ -23,10 +23,11 @@ product of O(n) tables cached per ``(dim, grid_resolution)`` (see
 Refinement works on a stack of forms: ``minima_on_sphere`` refines the
 starts of many tensors of one dimension in one loop, and ``min_on_sphere`` is
 its stack of one.  Each form keeps its own steps, damping, stall counts, line
-search and iteration count, and a form that stops or has finished its line
-search is no longer evaluated, so every form's result equals that of
-searching it alone, bit for bit.  The stack pays the loop's fixed cost per
-numpy call once for all its forms.
+search and iteration count.  Every form stays in the stack to the end, but a
+frozen start, or one whose form has finished its line search, is never
+accepted, so its point and value do not move and every form's result equals
+that of searching it alone, bit for bit.  The stack pays the loop's fixed
+cost per numpy call once for all its forms.
 
 f and its gradient are evaluated together by one kernel (``_kernel``), the
 module's only monomial gathers, whose products and sums keep the order of the
@@ -174,10 +175,10 @@ def _kernel_index(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel(dim: int, forms: int, n: int):
-    """f and its gradient at a stack of up to ``forms`` sets of n points, as
-    one function (X, V, needed) -> (f, G) with X of shape (dim, k, n) for any
-    k <= forms and V = ``_weights(C, E)`` for the k forms' coefficient rows C.
-    f has shape (k, n) and G, like X, (dim, k, n).
+    """f and its gradient at a stack of ``forms`` sets of n points, as one
+    function (X, V, needed) -> (f, G) with X of shape (dim, forms, n) and V =
+    ``_weights(C, E)`` for the forms' coefficient rows C.  f has shape (forms,
+    n) and G, like X, (dim, forms, n).
 
     From each coordinate's powers ``X[..., None] ** arange(5)`` (a quartic's
     monomials use no other powers) it builds one table of the products x**a *
@@ -191,10 +192,9 @@ def _kernel(dim: int, forms: int, n: int):
     makes one per form and table), which sums in a fixed order.
 
     The power, table and monomial buffers are the kernel's own, built once
-    for the whole stack: k forms use their first k rows.  Powers 0 and 1 are
-    exactly 1 and X, so only powers 2 to 4 call ``pow``, and only for the
-    points where ``needed`` (True, or a (k, n, 1) mask) holds; f and G are
-    meaningful only there.
+    for the stack.  Powers 0 and 1 are exactly 1 and X, so only powers 2 to 4
+    call ``pow``, and only for the points where ``needed`` (True, or a (forms,
+    n, 1) mask) holds; f and G are meaningful only there.
 
     ``np.power`` stays although it is slow on negative bases: numpy takes a
     scalar path there, about 125 ns per element against about 3 ns on
@@ -213,16 +213,14 @@ def _kernel(dim: int, forms: int, n: int):
     monomials = np.empty((dim - 1, forms) + xy.shape)  # reused: each call's R is a new array
 
     def kernel(X, V, needed=True):
-        k = X.shape[1]
-        P = powers[:, :k]
-        P[..., 1] = X
-        np.power(X[..., None], _HIGH_POWERS, out=P[..., 2:], where=needed)
-        x, y = P[0].swapaxes(1, 2), P[1].swapaxes(1, 2)
-        np.multiply(x[:, :, None], y[:, None], out=table[:k])
+        powers[..., 1] = X
+        np.power(X[..., None], _HIGH_POWERS, out=powers[..., 2:], where=needed)
+        x, y = powers[0].swapaxes(1, 2), powers[1].swapaxes(1, 2)
+        np.multiply(x[:, :, None], y[:, None], out=table)
         # The index is in range; "clip" spares take a buffered bounds check.
-        M = np.take(table[:k].reshape(k, -1), xy, axis=1, out=monomials[0, :k], mode="clip")
+        M = np.take(table.reshape(forms, -1), xy, axis=1, out=monomials[0], mode="clip")
         if dim == 3:
-            M *= np.take(P[2].reshape(k, -1), z, axis=1, out=monomials[1, :k], mode="clip")
+            M *= np.take(powers[2].reshape(forms, -1), z, axis=1, out=monomials[1], mode="clip")
         R = np.matmul(M, V)
         return R[:, 0, :, 0], R[:, 1:, :, 0].transpose(1, 0, 2)
 
@@ -404,14 +402,14 @@ def _refine(X, C):
     decrement is at most ``_DECREMENT`` times sum |C| (which bounds |f| on the
     sphere); a form stops when all of its starts are frozen, or after
     ``_REFINE_ITERS`` iterations.  Each form keeps its own steps, damping,
-    stall counts and line search, and only forms still refining or still
-    backtracking are evaluated, so each form's results equal those of refining
-    it alone, bit for bit.  Returns the points, their values and each form's
-    number of iterations.
+    stall counts and line search, so each form's results equal those of
+    refining it alone, bit for bit.  Returns the points, their values and
+    each form's number of iterations.
 
-    Inside, points, gradients and steps are (dim, forms, starts).  Every
-    array keeps one row per form still refining (``rows`` names it); the
-    rows of forms that stop are written out and dropped.
+    Inside, points, gradients and steps are (dim, forms, starts), and every
+    array keeps its shape to the end.  A form that has stopped stays in the
+    stack: its frozen starts are never accepted, so its points and values do
+    not move, and only the iterations it ran are counted.
     """
     forms, n, dim = X.shape
     X = np.moveaxis(X, -1, 0)
@@ -421,7 +419,7 @@ def _refine(X, C):
     W = (C.T[source.T] * factor.T[..., None])[..., None]  # (q, p, forms, 1)
     resolution = _DECREMENT * np.add.reduce(np.abs(C), axis=1, keepdims=True)
 
-    def trial(X, D, scale, active, f, decrease, V):
+    def trial(X, D, scale, active, f, decrease):
         """Candidates, their values, gradients and acceptance.  A frozen start
         is never accepted, so its candidate is not evaluated."""
         cand = X + (scale * active) * D
@@ -432,9 +430,7 @@ def _refine(X, C):
     step = np.full((forms, n), 0.1)
     damping = np.ones((forms, n))
     lowered = np.zeros((forms, n), dtype=int)  # the last iteration that lowered each start
-    rows = np.arange(forms)  # the form of each row still refining
-    X_out, f_out = np.empty((forms, n, dim)), np.empty((forms, n))
-    iterations = np.empty(forms, dtype=int)
+    iterations = np.zeros(forms, dtype=int)
     done = 0
     # Overflow to inf/nan is tolerated here; minima_on_sphere has checked the
     # seed values.  Row norms use np.linalg.norm's own formula.  A singular
@@ -446,39 +442,29 @@ def _refine(X, C):
             active = ((g2 > _REFINE_TOL**2) & (lowered > done - _STALL)
                       & ~(newton & (decrease <= resolution)))
             running = active.any(axis=1)
-            if done == _REFINE_ITERS:
-                running[:] = False
-            if not running.all():
-                stopped = rows[~running]
-                X_out[stopped] = np.moveaxis(X[:, ~running], 0, -1)
-                f_out[stopped], iterations[stopped] = f[~running], done
-                if not running.any():
-                    return X_out, f_out, iterations
-                V, rows = V[running], rows[running]
-                (X, f, G, D, decrease, newton, active, step, damping, lowered, W,
-                 resolution) = (
-                    a[..., running, :] for a in (X, f, G, D, decrease, newton, active, step,
-                                                 damping, lowered, W, resolution))
+            if done == _REFINE_ITERS or not running.any():
+                return np.moveaxis(X, 0, -1), f, iterations
+            iterations += running
             done += 1
             scale = np.where(newton, damping, step)
-            cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease, V)
-            if not ok.any(axis=1).all():
-                # A form none of whose starts was accepted halves their step
-                # lengths and damping and tries again, at most 60 times in
-                # all.  ok implies active, so a form searches on when it has
-                # an active but no accepted start.
-                for attempt in range(1, 61):
-                    search = active.any(axis=1) > ok.any(axis=1)
-                    if not search.any():
-                        break
-                    active &= search[:, None]  # a form done searching keeps its step
-                    scale = np.where(active, scale / 2, scale)
-                    active &= scale > 1e-18
-                    if attempt == 60:
-                        break
-                    s = np.flatnonzero(search)
-                    cand[:, s], fc[s], Gc[:, s], ok[s] = trial(
-                        X[:, s], D[:, s], scale[s], active[s], f[s], decrease[s], V[s])
+            cand, fc, Gc, ok = trial(X, D, scale, active, f, decrease)
+            # A form none of whose starts was accepted halves their step
+            # lengths and damping and tries again, at most 60 times in all,
+            # and only its results are taken from the retry.  ok implies
+            # active, so a form searches on when it has an active but no
+            # accepted start.
+            for attempt in range(1, 61):
+                search = active.any(axis=1) > ok.any(axis=1)
+                if not search.any():
+                    break
+                active &= search[:, None]  # a form done searching keeps its step
+                scale = np.where(active, scale / 2, scale)
+                active &= scale > 1e-18
+                if attempt == 60:
+                    break
+                retry = trial(X, D, scale, active, f, decrease)
+                cand, fc, Gc, ok = (np.where(search[:, None], new, old)
+                                    for new, old in zip(retry, (cand, fc, Gc, ok)))
             X = np.where(ok, cand, X)
             G = np.where(ok, Gc, G)  # the gradient at the accepted points
             lowered = np.where(ok & (fc < f), done, lowered)

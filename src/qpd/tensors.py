@@ -4,9 +4,9 @@ Storage is by sorted multi-index; the multinomial multiplicity is applied at
 evaluation time, so index symmetry is structural rather than enforced by
 copying entries around.  The multi-indices, multiplicities and exponent
 vectors of each dimension are tables built once at import.  Arithmetic is
-exact: an int, a Fraction or a float is read at its exact value (a float at its
-exact binary value, through ``as_integer_ratio``), and ``evaluate`` always
-returns a :class:`fractions.Fraction`.
+exact: an int, a Fraction or any other real number is read at its exact value
+(a float of any width or a Decimal through ``as_integer_ratio``), and
+``evaluate`` always returns a :class:`fractions.Fraction`.
 
 Exact evaluation clears denominators and sums in integers: each tensor keeps
 its weighted coefficients scaled by the lcm D of their denominators, a point x
@@ -67,45 +67,35 @@ class TooManyDigits(TensorError):
 def parse_scalar(value: Union[str, int, float, Fraction]) -> Fraction:
     """Coerce a user-supplied value to an exact rational.
 
-    Strings like ``"11/6"`` or ``"2.5"``, ints and finite floats become
-    exact rationals, a float at its exact binary value (``0.1`` is
-    3602879701896397/2**55); inf and nan are refused.
+    Strings like ``"11/6"`` or ``"2.5"`` become exact rationals, and any
+    other value is read by ``_exact``: a float at its exact binary value
+    (``0.1`` is 3602879701896397/2**55), and a bool, inf or nan refused.
     """
-    _check_coefficient(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         try:
             return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise TensorError(f"cannot parse scalar {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    raise TensorError(f"cannot parse scalar {value!r}")
-
-
-def _check_coefficient(value) -> None:
-    """Refuse a bool (numpy's, of dtype kind "b", too), and a float that is
-    inf or nan, as a coefficient."""
-    if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
-        raise TensorError(f"boolean is not a valid coefficient: {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise TensorError(f"coefficient is not finite: {value!r}")
+    return Fraction(_exact(value))
 
 
 def _exact(value):
-    """A coefficient as a quartic stores it, checked by
-    ``_check_coefficient``: a float as the Fraction of its exact binary value,
-    an integral scalar of another type (numpy's ``int64``, say, which has no
-    ``as_integer_ratio``) as an int, and anything else as it is."""
+    """A coefficient as a quartic stores it: an int or a Fraction as it is,
+    any other integral value (numpy's ``int64``, say, which has no
+    ``as_integer_ratio``) as an int, and anything else as the Fraction of its
+    ``as_integer_ratio``, so a float of any width or a Decimal at its exact
+    value.  A bool (numpy's, of dtype kind "b", too), inf, nan and a value
+    that is not a number are refused."""
     if type(value) in (int, Fraction):  # nothing to check or convert
         return value
-    _check_coefficient(value)
-    if isinstance(value, float):
-        return Fraction(value)
+    if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
+        raise TensorError(f"boolean is not a valid coefficient: {value!r}")
     if isinstance(value, numbers.Integral):
         return operator.index(value)
-    return value
+    try:
+        return Fraction(*value.as_integer_ratio())
+    except (AttributeError, OverflowError, ValueError) as exc:
+        raise TensorError(f"coefficient is not a finite number: {value!r}") from exc
 
 
 def _digit_limit() -> int:
@@ -174,9 +164,10 @@ def _canonical_key(key, dim: int) -> MultiIndex:
 class _QuarticTerms:
     """Term iteration and the exact integer form, shared by both quartic
     classes; ``coeffs`` holds the coefficients in ``MULTI_INDICES[dim]`` order.
-    A bool, inf or nan coefficient is refused at construction, a float is
-    stored as the Fraction of its exact binary value and an integral numpy
-    scalar as an int, so that every decision on the coefficients is exact.
+    A bool, inf or nan coefficient is refused at construction, a float (of
+    any width) or a Decimal is stored as the Fraction of its exact value and
+    an integral numpy scalar as an int (see ``_exact``), so that every
+    decision on the coefficients is exact.
     The fields are rewritten through ``object.__setattr__``, since the
     dataclasses are frozen."""
 

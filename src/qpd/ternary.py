@@ -274,17 +274,16 @@ def _class_at_level(S: SignClassTensor, level: Fraction) -> Classification:
 def _monotone_bound(S: SignClassTensor):
     """(bound, witness) inherited from studied levels: NotPSD propagates down
     from the smallest studied level >= b, PSD/PD propagate up from the largest
-    studied level <= b."""
+    studied level <= b.  Only a level b < 8/3 comes here, so a studied level
+    lies above it."""
     b = S.b
     below = [lv for lv in STUDIED_LEVELS if lv <= b]
-    above = [lv for lv in STUDIED_LEVELS if lv >= b]
-    if above:
-        upper = min(above)
-        if _class_at_level(S, upper) is Classification.NOT_PSD:
-            w = proof_witness(SignClassTensor(*S.s, *S.c, upper))
-            if w is not None and evaluate(S.to_quartic(), w) < 0:
-                return Classification.NOT_PSD, w
-            return Classification.NOT_PSD, None
+    upper = min(lv for lv in STUDIED_LEVELS if lv >= b)
+    if _class_at_level(S, upper) is Classification.NOT_PSD:
+        w = proof_witness(SignClassTensor(*S.s, *S.c, upper))
+        if w is not None and evaluate(S.to_quartic(), w) < 0:
+            return Classification.NOT_PSD, w
+        return Classification.NOT_PSD, None
     if below:
         lower = max(below)
         cls = _class_at_level(S, lower)

@@ -549,10 +549,9 @@ def test_variant_stack_results_are_pinned():
 
 
 # SHA-256 over minima_on_sphere of two stacks, the 20 inequality variants and
-# the five binaries of TestStack.test_slow_forms_keep_their_own_iterations, at
-# grid 8 with 4 and with 32 starts, hashed as for SIGN_CLASS_DIGEST.  The
-# binaries take _direction's dim-2 branch; with 32 starts two variants
-# backtrack (4 starts backtrack nowhere).
+# the five binaries of TestStack.MIXED, at grid 8 with 4 and with 32 starts,
+# hashed as for SIGN_CLASS_DIGEST.  The binaries take _direction's dim-2
+# branch; with 32 starts two variants backtrack (4 starts backtrack nowhere).
 SMALL_GRID_DIGEST = "fa9a2f43b04bc1bdee7896389ee0afba8face436d2a41f93270d90add26eba77"
 
 
@@ -685,26 +684,40 @@ class TestStack:
 
     def test_inequality_variants(self):
         """At grid 8 two variants backtrack: searched alone, each is its whole
-        stack; stacked, only their rows search on while the others wait."""
+        stack; stacked, the stack searches again with only those two active,
+        and takes only their results from the retry."""
         tensors = VARIANTS
         for cfg in (OracleConfig(), OracleConfig(grid_resolution=8)):
             alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
             stacked = minima_on_sphere(tensors, cfg)
             assert [bits(r) for r in stacked] == [bits(r) for r in alone]
 
+    # Fast, slow, fast, slow, fast: (x + y)**4 and (x - y)**4 refine for over
+    # 10 iterations, since Newton converges only linearly at their fourfold
+    # zeros, and the three others for at most 4.
+    MIXED = [DIM_TENSORS[2], BinaryQuartic(1, 1, 1, 1, 1), BinaryQuartic(1, 0, F(1, 3), 0, 1),
+             BinaryQuartic(1, -1, 1, -1, 1), GOLDEN["binary-degenerate"][0]]
+
     def test_slow_forms_keep_their_own_iterations(self):
-        """(x + y)**4 and (x - y)**4 refine for over 10 iterations, since Newton
-        converges only linearly at their fourfold zeros; the fast binaries
-        stacked with them stop, and report, before."""
-        slow = [BinaryQuartic(1, 1, 1, 1, 1), BinaryQuartic(1, -1, 1, -1, 1)]
-        fast = [DIM_TENSORS[2], BinaryQuartic(1, 0, F(1, 3), 0, 1),
-                GOLDEN["binary-degenerate"][0]]
-        tensors = [fast[0], slow[0], fast[1], slow[1], fast[2]]
+        """The fast binaries stacked with the slow ones stop, and report,
+        before them."""
         cfg = OracleConfig()
-        alone = [min_on_sphere.__wrapped__(T, cfg) for T in tensors]
+        alone = [min_on_sphere.__wrapped__(T, cfg) for T in self.MIXED]
         assert [r.iterations > 10 for r in alone] == [False, True, False, True, False]
         assert max(r.iterations for r in alone) <= 50
-        assert [bits(r) for r in minima_on_sphere(tensors, cfg)] == [bits(r) for r in alone]
+        assert [bits(r) for r in minima_on_sphere(self.MIXED, cfg)] == [bits(r) for r in alone]
+
+    def test_forms_keep_their_own_results_at_the_cap(self, monkeypatch):
+        """With the cap lowered to 5 iterations the slow binaries stop at it
+        and the fast ones on their own before: each form reports min(alone,
+        5) iterations and the bits of its search alone under the same cap."""
+        cfg = OracleConfig()
+        uncapped = [min_on_sphere.__wrapped__(T, cfg).iterations for T in self.MIXED]
+        monkeypatch.setattr(oracle, "_REFINE_ITERS", 5)
+        alone = [min_on_sphere.__wrapped__(T, cfg) for T in self.MIXED]
+        stacked = minima_on_sphere(self.MIXED, cfg)
+        assert [r.iterations for r in stacked] == [min(i, 5) for i in uncapped] == [4, 5, 0, 5, 4]
+        assert [bits(r) for r in stacked] == [bits(r) for r in alone]
 
     def test_empty_and_mixed_stacks(self):
         assert minima_on_sphere([], CFG) == []

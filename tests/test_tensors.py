@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -80,6 +81,36 @@ def test_numpy_bools_are_refused(position):
     ternary[3 * position] = np.False_
     with pytest.raises(TensorError):
         TernaryQuartic(tuple(ternary))
+
+
+# Every float width numpy offers, and Decimal, each built from a string.
+REAL_KINDS = [np.float16, np.float32, np.float64, np.longdouble, Decimal]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", REAL_KINDS)
+def test_non_finite_values_of_every_real_type_are_refused(kind, text):
+    """inf and nan are refused at construction whatever their type, by both
+    quartic classes and by build_tensor, so evaluate and the classifiers
+    never meet them."""
+    value = kind(text)
+    with pytest.raises(TensorError):
+        BinaryQuartic(value, 0, 1, 0, 1)
+    with pytest.raises(TensorError):
+        TernaryQuartic((value,) + (1,) * 14)
+    with pytest.raises(TensorError):
+        build_tensor(2, {(1, 1, 1, 1): value, (2, 2, 2, 2): 1})
+
+
+@pytest.mark.parametrize("kind", REAL_KINDS)
+def test_finite_values_of_every_real_type_are_stored_exactly(kind):
+    """A finite value of any real type is stored as the Fraction of its exact
+    value: np.float32(0.1) is 13421773/2**27, not 0.1."""
+    value = kind("0.1")
+    T = BinaryQuartic(value, 0, 1, 0, 1)
+    assert type(T.t1111) is F and T.t1111 == F(*value.as_integer_ratio())
+    assert BinaryQuartic(np.float32(0.1), 0, 1, 0, 1).t1111 == F(13421773, 2**27)
+    assert evaluate(T, (1, 0)) == T.t1111
 
 
 def as_numpy(coeffs, kind):
