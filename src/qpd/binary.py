@@ -173,7 +173,7 @@ def _negative_point(T: BinaryQuartic) -> Vector | None:
 
 def _scaled_value(T: BinaryQuartic, x: tuple[int, int]) -> int:
     """D * f(x) at an integer point x, an integer with the sign of f(x)."""
-    return exact_numerators((T.integer_form,), x)[1][0]
+    return exact_numerators((T.integer_form,), x)[0]
 
 
 def classify_sign_binary(T: BinaryQuartic) -> Verdict:

@@ -348,7 +348,7 @@ def check_inequalities(
                     continue
                 nonzero, diagonal, L4 = any(n), n[0] == n[1] == n[2], L**4
                 # The denominator D_t * L**4 is positive, so N has f_t(x)'s sign.
-                _, numerators = exact_numerators([forms[t] for t in pending], n)
+                numerators = exact_numerators([forms[t] for t in pending], n)
                 failed = False
                 for t, N in zip(pending, numerators):
                     iid, report = iids[t], outcomes[t]

@@ -46,10 +46,10 @@ refinement starts (``_starts``): a ternary's take 512 KB at the default grid,
 and kept alive beside ``_refine``'s buffers they made the allocator return the
 heap to the system and take it back on every search.
 
-A negative minimum is confirmed in integers: each coordinate's
+A negative minimum is confirmed exactly: each coordinate's
 ``as_integer_ratio`` is rounded by the continued fraction of
-``Fraction.limit_denominator`` (``_limit_denominator``), and the form's
-``integer_form`` is evaluated at the cleared-denominator point.
+``Fraction.limit_denominator`` (``_limit_denominator``), and each rounding is
+evaluated by ``tensors.evaluate``.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensors import EXPONENTS, MULTIPLICITIES, Quartic, Vector, check_dim, exact_numerators
+from .tensors import EXPONENTS, MULTIPLICITIES, Quartic, Vector, evaluate
 from .verdicts import Classification
 
 
@@ -576,40 +576,29 @@ def _limit_denominator(p: int, q: int, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _value_at(T: Quartic, point) -> tuple[int, int]:
-    """``(N, M)`` with M > 0 and f(x) = N / M at the point x whose coordinates
-    are the ``(numerator, denominator)`` pairs of ``point``: the form's
-    ``integer_form`` at the integer point L x, over D L**4."""
-    L = math.lcm(*(q for _, q in point))
-    form = T.integer_form
-    _, (N,) = exact_numerators((form,), [p * (L // q) for p, q in point])
-    return N, form[0] * L**4
-
-
 def rationalize_and_confirm(T: Quartic, x, max_denominator: int) -> Fraction:
     """Exact value of the form at the best rational approximation of x with
     denominators bounded by max_denominator."""
     _check_int("max_denominator", max_denominator, 1)
-    check_dim(T, x)
-    return Fraction(*_value_at(T, [
-        _limit_denominator(*float(v).as_integer_ratio(), max_denominator) for v in x]))
+    return evaluate(T, [Fraction(*_limit_denominator(*float(v).as_integer_ratio(), max_denominator))
+                        for v in x])
 
 
 def _confirm_negative(T: Quartic, x, max_denominator: int) -> Optional[tuple[Vector, Fraction]]:
     """The first rounding of x with a negative exact value, and that value.
 
     Denominator bounds climb 8, 128, 2048, ... while they stay within
-    max_denominator, then max_denominator itself is tried.  Each rounding
-    and its value are taken in integers; only the witness becomes Fractions.
+    max_denominator, then max_denominator itself is tried.  Each rounding is
+    evaluated by ``tensors.evaluate``.
     """
-    ratios = [float(v).as_integer_ratio() for v in x]
     den = 8
     while True:
         den = min(den, max_denominator)
-        point = [_limit_denominator(p, q, den) for p, q in ratios]
-        N, M = _value_at(T, point)
-        if N < 0:
-            return tuple(Fraction(p, q) for p, q in point), Fraction(N, M)
+        point = tuple(Fraction(*_limit_denominator(*float(v).as_integer_ratio(), den))
+                      for v in x)
+        value = evaluate(T, point)
+        if value < 0:
+            return point, value
         if den == max_denominator:
             return None
         den *= 16
@@ -640,15 +629,19 @@ def agreement(analytic, result: OracleResult, cfg: OracleConfig = OracleConfig()
 
     ``analytic`` is a Verdict, ClassVerdict, or Classification.  Disagreements
     whose numeric minimum sits within 10x the verdict band of the boundary are
-    inconclusive rather than conflicts.
+    inconclusive rather than conflicts.  A negative minimum that no rounding
+    confirmed exactly (reported BoundaryPSD) is inconclusive against NotPSD,
+    and disagrees with PD and PSD.
     """
     cls = analytic if isinstance(analytic, Classification) else analytic.classification
     expected = _EXPECTED.get(cls)
     if expected is None:
         return "n/a"
-    if result.verdict is expected:
+    unconfirmed = result.min_value < -cfg.verdict_tol and result.confirmed_exact is None
+    if result.verdict is expected and not unconfirmed:
         return "agree"
-    if abs(result.min_value) <= 10 * cfg.verdict_tol:
+    near_zero = abs(result.min_value) <= 10 * cfg.verdict_tol
+    if near_zero or unconfirmed and cls is Classification.NOT_PSD:
         return "inconclusive"
     return "conflict"
 

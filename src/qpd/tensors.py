@@ -279,14 +279,15 @@ def check_dim(T: Quartic, x: Sequence[Scalar]) -> None:
 
 
 def evaluate(T: Quartic, x: Sequence[Scalar]) -> Fraction:
-    """The quartic form at x: sum over sorted multi-indices of
-    multiplicity * coefficient * monomial, always an exact Fraction computed
-    in integers; a float coefficient or coordinate counts at its exact binary
-    value."""
+    """The quartic form at x as an exact Fraction, a float coefficient or
+    coordinate counted at its exact binary value.  The one place that scales
+    a rational point: f(x) = N / (D * L**4) for ``(L, n) = integer_point(x)``
+    and N the numerator of ``exact_numerators`` at n."""
     check_dim(T, x)
     form = T.integer_form
-    L4, (total,) = exact_numerators((form,), x)
-    return Fraction(total, form[0] * L4)
+    L, n = integer_point(x)
+    (total,) = exact_numerators((form,), n)
+    return Fraction(total, form[0] * L**4)
 
 
 def integer_point(x: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
@@ -297,16 +298,14 @@ def integer_point(x: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     return L, tuple(p * (L // d) for p, d in ratios)
 
 
-def exact_numerators(forms, x: Sequence[Scalar]) -> tuple[int, list[int]]:
-    """``(L**4, [N_t])`` for integer forms ``(D_t, rows_t)`` (see
-    ``integer_form``) at one point x: f_t(x) = N_t / (D_t * L**4), where
-    ``(L, n) = integer_point(x)``.  x is scaled to n once, and every form sums
-    its rows k_m n^e_m over the same powers; for an integer x, L = 1."""
-    L, scaled = integer_point(x)
+def exact_numerators(forms, n: Sequence[int]) -> list[int]:
+    """``[N_t]`` for integer forms ``(D_t, rows_t)`` (see ``integer_form``) at
+    an integer vector n, f_t(n) = N_t / D_t: each form sums its rows k_m n^e_m
+    over the same powers of n.  A rational point goes through ``evaluate``."""
     powers = []
-    for n in scaled:
-        n2 = n * n
-        powers.append((1, n, n2, n2 * n, n2 * n2))
+    for v in n:
+        v2 = v * v
+        powers.append((1, v, v2, v2 * v, v2 * v2))
     totals = []
     if len(powers) == 2:
         p, q = powers
@@ -322,7 +321,7 @@ def exact_numerators(forms, x: Sequence[Scalar]) -> tuple[int, list[int]]:
             for k, a, b, c in rows:
                 total += k * p[a] * q[b] * r[c]
             totals.append(total)
-    return L**4, totals
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,8 @@ def _monotone_bound(S: SignClassTensor):
     below = [lv for lv in STUDIED_LEVELS if lv <= b]
     upper = min(lv for lv in STUDIED_LEVELS if lv >= b)
     if _class_at_level(S, upper) is Classification.NOT_PSD:
-        w = proof_witness(SignClassTensor(*S.s, *S.c, upper))
-        if w is not None and evaluate(S.to_quartic(), w) < 0:
-            return Classification.NOT_PSD, w
-        return Classification.NOT_PSD, None
+        # At b the form is lower by 6(upper - b)(x1^2 x2^2 + x1^2 x3^2 + x2^2 x3^2) >= 0.
+        return Classification.NOT_PSD, proof_witness(SignClassTensor(*S.s, *S.c, upper))
     if below:
         lower = max(below)
         cls = _class_at_level(S, lower)

@@ -195,6 +195,18 @@ def test_sweep_mode(capsys):
     assert report["summary"]["counts"]["8/3:PositiveDefinite"] == 64
 
 
+def test_sweep_without_exact_confirmation_is_inconclusive(capsys):
+    """At --max-denominator 2 no rounding of 88 negative minima is negative:
+    each of those rows is analytic NotPSD against an unconfirmed minimum
+    beyond 10x the verdict band, which is inconclusive, and the sweep exits 0."""
+    code, report = run_json(capsys, ["--mode", "sweep", "--max-denominator", "2"])
+    assert code == 0 and report["summary"]["conflicts"] == 0
+    rows = [row for row in report["rows"] if row["agreement"] == "inconclusive"]
+    assert len(rows) == 88
+    assert all(row["analytic"] == "NotPositiveSemidefinite" and row["numeric"] == "BoundaryPSD"
+               and row["min_value"] < -1e-7 for row in rows)
+
+
 @pytest.mark.parametrize("entries", [
     {"1111": "1e400", "2222": 1, "3333": 1},  # float(Fraction) overflows
     {"1111": "1e308", "1122": "1e308", "2222": 1, "3333": 1},  # 6 * 1e308 overflows

@@ -609,7 +609,7 @@ def test_float_residuals_are_within_their_bound():
     F_, B = inequalities._float_residuals(np.array(points, dtype=float), K)
     assert np.all(np.isfinite(F_)) and np.all(np.isfinite(B))
     for i, n in enumerate(points):
-        _, numerators = inequalities.exact_numerators(forms, n)
+        numerators = inequalities.exact_numerators(forms, n)
         for t, N in enumerate(numerators):
             assert abs(F(float(F_[i, t])) - N) <= F(float(B[i, t])), (n, t)
 
@@ -628,6 +628,6 @@ def test_settled_pairs_are_positive():
     settled = inequalities._settled(L, n, inequalities._float_weights(tensors), c32)
     assert settled.any() and not settled.all()
     for i, x in enumerate(points):
-        _, numerators = inequalities.exact_numerators(forms, x)
+        numerators = inequalities.exact_numerators(forms, x)
         for t in np.flatnonzero(settled[i]).tolist():
             assert numerators[t] > 0, (x, t)

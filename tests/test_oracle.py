@@ -855,6 +855,23 @@ class TestVerifyVerdict:
         rep = verify_verdict(case1_tensor(), Classification.POSITIVE_DEFINITE, CFG)
         assert rep.agreement == "conflict"
 
+    @pytest.mark.parametrize("analytic, agreement", [
+        (Classification.NOT_PSD, "inconclusive"),
+        (Classification.POSITIVE_DEFINITE, "conflict"),
+        (Classification.PSD_NOT_PD, "conflict"),
+    ], ids=["NotPSD", "PD", "PSD"])
+    def test_unconfirmed_negative_minimum(self, analytic, agreement):
+        """No rounding with denominators up to 2 is negative on this NotPSD
+        form, so its minimum of about -0.176 is reported BoundaryPSD: the
+        search agrees with NotPSD without an exact proof, and refutes PD and
+        PSD."""
+        cfg = OracleConfig(max_denominator=2)
+        T = SignClassTensor(1, 1, 1, 1, 1, 1, F(11, 6)).to_quartic()
+        rep = verify_verdict(T, analytic, cfg)
+        assert rep.numeric.verdict is NumericVerdict.BOUNDARY_PSD
+        assert rep.numeric.confirmed_exact is None and rep.numeric.min_value < -0.17
+        assert rep.agreement == agreement
+
 
 def test_negative_witness_is_exact():
     T = case1_tensor()
